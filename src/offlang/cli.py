@@ -314,12 +314,22 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
+def _normalizes(config: dict, language: str) -> bool:
+    return bool(config.get("normalize", language == "en"))
+
+
+def _load_corpus(path: Path, config: dict, language: str, split: str = "train") -> Corpus:
+    """A labeled TSV as every training stage sees it: normalized when the
+    config says so (by default, for English only)."""
+    corpus = load_labeled_tsv(path, language=language, split=split)
+    if _normalizes(config, language):
+        corpus = _normalized_corpus(corpus, config)
+    return corpus
+
+
 def _load_training_corpus(args, config: dict, language: str) -> tuple[Corpus, Path]:
     path = _require_input(args.input or config.get("train_file"), "training file")
-    corpus = load_labeled_tsv(path, language=language)
-    if config.get("normalize", language == "en"):
-        corpus = _normalized_corpus(corpus, config)
-    return corpus, path
+    return _load_corpus(path, config, language), path
 
 
 def cmd_train(args) -> int:
@@ -344,7 +354,7 @@ def cmd_train(args) -> int:
         meta={
             "language": language,
             "seed": seed,
-            "normalize": bool(config.get("normalize", language == "en")),
+            "normalize": _normalizes(config, language),
         },
     )
     trace_path = out / "loss_trace.csv"
@@ -445,8 +455,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
 
     if args.mode == "augmentation":
-        path = _require_input(args.input or config.get("train_file"), "training file")
-        corpus = load_labeled_tsv(path, language=language)
+        corpus, path = _load_training_corpus(args, config, language)
         pivots = _pivot_set(args, config, language)
         provider = _make_provider(args, config)
         holdout = args.holdout if args.holdout is not None else config.get("holdout_fraction", 0.2)
@@ -460,9 +469,9 @@ def cmd_ablate(args) -> int:
         weak = _require_input(args.weak or config.get("weak_file"), "weak training file")
         test = _require_input(args.test or config.get("test_file"), "test file")
         reports = ablation_english(
-            load_labeled_tsv(gold, language=language),
-            load_labeled_tsv(weak, language=language),
-            load_labeled_tsv(test, language=language, split="test"),
+            _load_corpus(gold, config, language),
+            _load_corpus(weak, config, language),
+            _load_corpus(test, config, language, split="test"),
             train_config,
             encoder_config,
         )

@@ -135,23 +135,35 @@ class TokenSequence:
     mask: np.ndarray  # (T,) float64, 1.0 over real tokens
 
 
-def tokenize_encode(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """[CLS] + tokens + [SEP], right-padded; truncation keeps leading tokens
-    and always retains the final [SEP]."""
+def _token_ids(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
+    """[CLS] + tokens + [SEP], at most max_len ids; truncation keeps leading
+    tokens and always retains the final [SEP]."""
     tokens = tokenize(text)[: max_len - 2]
-    ids = [CLS_ID] + [vocab.id_of(tok) for tok in tokens] + [SEP_ID]
-    real = len(ids)
-    ids = ids + [PAD_ID] * (max_len - real)
-    mask = [1.0] * real + [0.0] * (max_len - real)
-    return TokenSequence(np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float64))
+    return [CLS_ID] + [vocab.id_of(tok) for tok in tokens] + [SEP_ID]
+
+
+def _padded(rows: list[list[int]], length: int) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.full((len(rows), length), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(rows), length), dtype=np.float64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+        mask[i, : len(row)] = 1.0
+    return ids, mask
+
+
+def tokenize_encode(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
+    """One sequence right-padded to exactly max_len (see _token_ids)."""
+    ids, mask = _padded([_token_ids(text, vocab, max_len)], max_len)
+    return TokenSequence(ids[0], mask[0])
 
 
 def encode_corpus(texts: list[str], vocab: Vocabulary, max_len: int):
-    """Stack tokenized sequences into (n, max_len) id and mask matrices."""
-    seqs = [tokenize_encode(t, vocab, max_len) for t in texts]
-    ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.mask for s in seqs])
-    return ids, mask
+    """Stack tokenized sequences into (n, T) id and mask matrices, right-padded
+    to T = the longest row of `texts` ([CLS] and [SEP] included), so at most
+    max_len. Attention costs O(T^2), so callers encode one batch at a time
+    and each batch pays only for its own longest row."""
+    rows = [_token_ids(t, vocab, max_len) for t in texts]
+    return _padded(rows, max((len(row) for row in rows), default=0))
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -201,12 +213,16 @@ class EncoderModel:
         return b"".join(self.params[k].tobytes() for k in sorted(self.params))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(GELU(x), Phi(x)) where GELU(x) = x * Phi(x) and Phi is the standard
+    normal CDF. Phi is returned so the backward pass needs no second erf."""
+    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return x * phi, phi
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d GELU / dx = Phi(x) + x * pdf(x), given phi = Phi(x) from gelu()."""
+    return phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
 def _layer_norm(x, gain, bias):
@@ -251,9 +267,13 @@ def forward(
 ):
     """Run the encoder over a (B, T) batch and return (CLS vectors, cache).
 
-    Padding positions carry a -1e9 additive attention bias, so they receive
-    exactly zero attention weight and never influence real positions. Dropout
-    is applied only when train=True (inverted dropout with the supplied rng).
+    T may be anything up to max_len; batches from encode_corpus are padded
+    only to their longest row. Padding positions carry a -1e9 additive
+    attention bias, so they receive exactly zero attention weight and never
+    influence real positions: a row's CLS vector does not depend on how far
+    its batch is padded (up to roundoff). Dropout is applied only when
+    train=True (inverted dropout with the supplied rng), with masks drawn at
+    the batch's (B, T) shape.
     """
     cfg = model.config
     p = model.params
@@ -294,7 +314,7 @@ def forward(
             attn, attn_keep = _dropout(attn, cfg.dropout, dropout_rng)
         ln1, ln1_cache = _layer_norm(x_in + attn, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         mid_pre = ln1 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
-        mid = gelu(mid_pre)
+        mid, phi = gelu(mid_pre)
         ffn = mid @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
         ffn_keep = None
         if use_dropout:
@@ -312,7 +332,7 @@ def forward(
                 "ln1": ln1,
                 "ln1_cache": ln1_cache,
                 "mid_pre": mid_pre,
-                "mid": mid,
+                "phi": phi,
                 "ffn_keep": ffn_keep,
                 "ln2_cache": ln2_cache,
             }
@@ -348,10 +368,11 @@ def backward(model: EncoderModel, cache: dict, d_cls: np.ndarray) -> dict[str, n
 
         dffn = dres2 if c["ffn_keep"] is None else dres2 * c["ffn_keep"]
         dln1 = dres2.copy()
-        grads[pre + "ffn.w2"] += flat(c["mid"]).T @ flat(dffn)
+        mid_pre, phi = c["mid_pre"], c["phi"]
+        grads[pre + "ffn.w2"] += flat(mid_pre * phi).T @ flat(dffn)
         grads[pre + "ffn.b2"] += dffn.sum(axis=(0, 1))
         dmid = dffn @ p[pre + "ffn.w2"].T
-        dmid_pre = dmid * gelu_grad(c["mid_pre"])
+        dmid_pre = dmid * gelu_grad(mid_pre, phi)
         grads[pre + "ffn.w1"] += flat(c["ln1"]).T @ flat(dmid_pre)
         grads[pre + "ffn.b1"] += dmid_pre.sum(axis=(0, 1))
         dln1 += dmid_pre @ p[pre + "ffn.w1"].T

@@ -141,14 +141,16 @@ def predict_labels(
     texts: list[str],
     *,
     second_model: EncoderModel | None = None,
-    batch_size: int = 128,
+    batch_size: int = train_mod.FEATURE_BATCH,
 ) -> list[Label]:
-    """Inference on original sentences only: encode, apply the head, argmax."""
+    """Inference on original sentences only: encode, apply the head, argmax.
+
+    Texts are encoded one batch at a time, each batch padded to its longest
+    row, so labels do not depend on batch_size."""
     max_len = model.config.max_len
-    ids, mask = encode_corpus(texts, vocab, max_len)
     out: list[Label] = []
     for start in range(0, len(texts), batch_size):
-        bi, bm = ids[start : start + batch_size], mask[start : start + batch_size]
+        bi, bm = encode_corpus(texts[start : start + batch_size], vocab, max_len)
         cls, _ = forward(model, bi, bm)
         if second_model is not None:
             cls2, _ = forward(second_model, bi, bm)

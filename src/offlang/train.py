@@ -38,6 +38,9 @@ LANGUAGE_DEFAULTS: dict[str, tuple[int, float]] = {
 
 LOSS_DIVERGENCE_LIMIT = 1e3
 
+# Rows per inference-mode forward pass (frozen features and prediction).
+FEATURE_BATCH = 128
+
 _CLASS_ORDER = (Label.OFF, Label.NOT)
 
 
@@ -175,13 +178,24 @@ def _check_divergence(loss: float, epoch: int, batch: int) -> None:
         )
 
 
+def _frozen_features(model: EncoderModel, texts: list[str], vocab: Vocabulary) -> np.ndarray:
+    """Inference-mode CLS vectors of every text, FEATURE_BATCH rows per forward,
+    so the activation cache follows the batch size, not the corpus size."""
+    batches = []
+    for start in range(0, len(texts), FEATURE_BATCH):
+        ids, mask = encode_corpus(texts[start : start + FEATURE_BATCH], vocab, model.config.max_len)
+        batches.append(forward(model, ids, mask)[0])
+    return np.concatenate(batches)
+
+
 def train_single(
     corpus: Corpus, model: EncoderModel, vocab: Vocabulary, config: TrainConfig
 ) -> TrainResult:
     """Fine-tune encoder + head with cross-entropy over seeded-shuffled
-    mini-batches (the final short batch is used, not dropped). With
-    freeze_encoders the CLS vectors are computed once in inference mode and
-    only the head is optimized. The input model is not mutated."""
+    mini-batches (the final short batch is used, not dropped). Each batch is
+    encoded when it is drawn, padded to its longest row. With freeze_encoders
+    the CLS vectors are computed once in inference mode and only the head is
+    optimized. The input model is not mutated."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     model = model.copy()
@@ -189,12 +203,12 @@ def train_single(
     rng = np.random.default_rng(config.seed)
     head = ClassifierHead.initialize(h, config.seed)
 
-    ids, mask = encode_corpus(corpus.texts(), vocab, model.config.max_len)
+    texts = corpus.texts()
     y = np.array([label_index(ex.label) for ex in corpus], dtype=np.int64)
     n = len(corpus)
 
     if config.freeze_encoders:
-        cls_all, _ = forward(model, ids, mask)
+        cls_all = _frozen_features(model, texts, vocab)
         trace = _train_head_on_vectors(cls_all, y, head, config, rng)
         return TrainResult(model=model, head=head, loss_trace=trace)
 
@@ -209,9 +223,8 @@ def train_single(
         epoch_loss = 0.0
         for b_start in range(0, n, config.batch_size):
             sel = perm[b_start : b_start + config.batch_size]
-            cls, cache = forward(
-                model, ids[sel], mask[sel], train=True, dropout_rng=rng
-            )
+            ids, mask = encode_corpus([texts[i] for i in sel], vocab, model.config.max_len)
+            cls, cache = forward(model, ids, mask, train=True, dropout_rng=rng)
             logits = cls @ head.w + head.b
             loss, dlogits = _batch_cross_entropy(logits, y[sel])
             _check_divergence(loss, epoch, b_start // config.batch_size)
@@ -289,14 +302,15 @@ def train_dual(
     rng = np.random.default_rng(config.seed)
     head = ClassifierHead.initialize(2 * h, config.seed)
 
-    ids, mask = encode_corpus(head_corpus.texts(), vocab, model_a.config.max_len)
+    texts = head_corpus.texts()
     y = np.array([label_index(ex.label) for ex in head_corpus], dtype=np.int64)
     n = len(head_corpus)
 
     if not joint:
-        cls_a, _ = forward(model_a, ids, mask)
-        cls_b, _ = forward(model_b, ids, mask)
-        vectors = np.concatenate([cls_a, cls_b], axis=1)
+        vectors = np.concatenate(
+            [_frozen_features(model_a, texts, vocab), _frozen_features(model_b, texts, vocab)],
+            axis=1,
+        )
         trace = _train_head_on_vectors(vectors, y, head, config, rng)
         return head, trace
 
@@ -313,8 +327,9 @@ def train_dual(
         epoch_loss = 0.0
         for b_start in range(0, n, config.batch_size):
             sel = perm[b_start : b_start + config.batch_size]
-            cls_a, cache_a = forward(model_a, ids[sel], mask[sel], train=True, dropout_rng=rng)
-            cls_b, cache_b = forward(model_b, ids[sel], mask[sel], train=True, dropout_rng=rng)
+            ids, mask = encode_corpus([texts[i] for i in sel], vocab, model_a.config.max_len)
+            cls_a, cache_a = forward(model_a, ids, mask, train=True, dropout_rng=rng)
+            cls_b, cache_b = forward(model_b, ids, mask, train=True, dropout_rng=rng)
             cls = np.concatenate([cls_a, cls_b], axis=1)
             logits = cls @ head.w + head.b
             loss, dlogits = _batch_cross_entropy(logits, y[sel])

@@ -1,4 +1,5 @@
-"""Shared test oracles: the finite-difference gradient check."""
+"""Shared test oracles: the finite-difference gradient check and a recorder
+of encoder forward calls."""
 
 import numpy as np
 
@@ -89,3 +90,23 @@ def gradient_check(model, head, ids, mask, y, eps: float = 1e-4) -> dict[str, fl
         denom = max(np.linalg.norm(ga), np.linalg.norm(gn), ZERO_GRADIENT_FLOOR)
         errors[name] = float(np.linalg.norm(ga - gn) / denom)
     return errors
+
+
+class ForwardRecorder:
+    """Stands in for an encoder `forward` and records, per call, the batch
+    rows, its padded length T, the longest real row and the train flag."""
+
+    def __init__(self, forward_fn):
+        self.forward_fn = forward_fn
+        self.calls: list[tuple[int, int, int, bool]] = []
+
+    def __call__(self, model, ids, mask, **kwargs):
+        longest = int(mask.sum(axis=1).max())
+        self.calls.append((ids.shape[0], ids.shape[1], longest, kwargs.get("train", False)))
+        return self.forward_fn(model, ids, mask, **kwargs)
+
+    def assert_per_batch(self, max_rows: int) -> None:
+        assert self.calls
+        for rows, length, longest, _ in self.calls:
+            assert rows <= max_rows
+            assert length == longest

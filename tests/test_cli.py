@@ -1,12 +1,21 @@
 import json
+import random
 
 import pytest
 
 from offlang.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, emit_report_table, main
-from offlang.corpus import Label, corpus_stats, load_labeled_tsv, save_labeled_tsv
+from offlang.corpus import (
+    Corpus,
+    Label,
+    LabeledExample,
+    corpus_stats,
+    load_labeled_tsv,
+    save_labeled_tsv,
+)
 from offlang.datagen import mini_corpus
 from offlang.errors import ArityMismatch
 from offlang.evaluation import evaluate
+from offlang.normalize import NormalizationConfig, normalize
 
 RUN_YAML = """
 language: tr
@@ -227,6 +236,39 @@ class TestAblateCommand:
         assert [line.split("\t")[0] for line in table[1:]] == [
             "encoder-A-only", "encoder-B-only", "dual",
         ]
+        capsys.readouterr()
+
+    def test_english_mode_normalizes_like_train(self, workspace, capsys):
+        # Tweets with placeholders, hashtags, emoji, URLs and slang give the
+        # same ablation as their normalized copies: normalize is idempotent,
+        # so both runs train on identical text.
+        rng = random.Random(0)
+        extras = ["@USER", "#GoodMorning", "😂", "http://x.io/a", "brb", "2day", "lol 12"]
+        norm_config = NormalizationConfig.bundled()
+        inputs = (("gold", 80, 7, "train"), ("weak", 80, 8, "weak"), ("test", 40, 9, "test"))
+        for name, n, seed, split in inputs:
+            raw = [
+                LabeledExample(ex.id, f"{rng.choice(extras)} {ex.text} {rng.choice(extras)}", ex.label)
+                for ex in mini_corpus("en", n, seed=seed, split=split)
+            ]
+            pre = [LabeledExample(ex.id, normalize(ex.text, norm_config), ex.label) for ex in raw]
+            for kind, examples in (("raw", raw), ("pre", pre)):
+                (workspace / kind).mkdir(exist_ok=True)
+                save_labeled_tsv(Corpus("en", split, examples), workspace / kind / f"{name}.tsv")
+        for kind in ("raw", "pre"):
+            code = run(
+                "ablate", "--mode", "english", "--config", workspace / "run.yaml",
+                "--gold", workspace / kind / "gold.tsv", "--weak", workspace / kind / "weak.tsv",
+                "--test", workspace / kind / "test.tsv", "--language", "en",
+                "--epochs", "8", "--out-dir", workspace / f"ablate_{kind}",
+            )
+            assert code == EXIT_OK
+        artifacts = sorted(p.name for p in (workspace / "ablate_raw").iterdir())
+        assert "table3.tsv" in artifacts and len(artifacts) == 5  # table, 3 reports, manifest
+        for name in artifacts:
+            if name != "manifest.json":
+                raw_bytes = (workspace / "ablate_raw" / name).read_bytes()
+                assert raw_bytes == (workspace / "ablate_pre" / name).read_bytes(), name
         capsys.readouterr()
 
 

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from helpers import ZERO_GRADIENT_FLOOR
+
+import offlang.encoder as encoder_mod
 from offlang.corpus import Corpus, Label, LabeledExample
 from offlang.encoder import (
     CLS_ID,
     PAD_ID,
+    RESERVED_TOKENS,
     SEP_ID,
     UNK_ID,
     EncoderConfig,
     EncoderModel,
     Vocabulary,
     attention_maps,
+    backward,
     build_vocab,
     dual_encode,
     encode,
+    encode_corpus,
+    forward,
+    gelu,
+    gelu_grad,
     load_checkpoint,
     save_checkpoint,
     tokenize,
@@ -100,6 +110,29 @@ class TestTokenizeEncode:
         assert seq.mask.sum() == 128
 
 
+class TestEncodeCorpus:
+    def test_pads_to_longest_row(self):
+        vocab = build_vocab(corpus_of(["a b c"]), TINY)
+        ids, mask = encode_corpus(["a", "a b c", ""], vocab, max_len=8)
+        a, b, c = (vocab.id_of(t) for t in "abc")
+        assert ids.tolist() == [
+            [CLS_ID, a, SEP_ID, PAD_ID, PAD_ID],
+            [CLS_ID, a, b, c, SEP_ID],
+            [CLS_ID, SEP_ID, PAD_ID, PAD_ID, PAD_ID],
+        ]
+        assert mask.tolist() == [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 1, 0, 0, 0]]
+        assert ids.dtype == np.int64 and mask.dtype == np.float64
+
+    def test_long_text_capped_at_max_len_keeps_sep(self):
+        vocab = build_vocab(corpus_of(["w"]), TINY)
+        long_text = " ".join(f"tok{i}" for i in range(200))
+        ids, mask = encode_corpus(["w", long_text], vocab, max_len=128)
+        assert ids.shape == mask.shape == (2, 128)
+        assert ids[1, 0] == CLS_ID and ids[1, 127] == SEP_ID
+        assert mask[1].sum() == 128
+        assert mask[0].sum() == 3
+
+
 def tiny_model(seed=0, vocab_size=12):
     config = EncoderConfig(
         hidden_size=8, num_layers=1, num_heads=2, ffn_size=16,
@@ -155,6 +188,94 @@ class TestForward:
             from offlang.encoder import forward
 
             forward(model, ids, np.ones((1, 8)))
+
+
+class TestTrimmedBatch:
+    """A batch padded only to its longest row computes what the same batch
+    padded to max_len computes, up to float64 roundoff."""
+
+    def batches(self):
+        config = EncoderConfig(dropout=0.0)  # default h=64, L=2, T=128
+        words = [f"w{i}" for i in range(40)]
+        vocab = Vocabulary.from_tokens(list(RESERVED_TOKENS) + words)
+        rng = np.random.default_rng(0)
+        texts = [" ".join(rng.choice(words, size=k)) for k in (0, 3, 9, 17, 5, 30)]
+        ids, mask = encode_corpus(texts, vocab, config.max_len)
+        assert ids.shape[1] == 32 < config.max_len
+        padded_ids = np.full((len(texts), config.max_len), PAD_ID, dtype=np.int64)
+        padded_mask = np.zeros((len(texts), config.max_len))
+        padded_ids[:, : ids.shape[1]] = ids
+        padded_mask[:, : ids.shape[1]] = mask
+        model = EncoderModel.initialize(config, vocab.size)
+        return model, (ids, mask), (padded_ids, padded_mask)
+
+    def test_cls_vectors_match_padded(self):
+        model, trimmed, padded = self.batches()
+        cls_trimmed, _ = forward(model, *trimmed)
+        cls_padded, _ = forward(model, *padded)
+        assert np.abs(cls_trimmed - cls_padded).max() < 1e-12
+
+    def test_gradients_match_padded(self):
+        model, trimmed, padded = self.batches()
+        cls, cache_trimmed = forward(model, *trimmed)
+        _, cache_padded = forward(model, *padded)
+        d_cls = np.random.default_rng(1).standard_normal(cls.shape)
+        g_trimmed = backward(model, cache_trimmed, d_cls)
+        g_padded = backward(model, cache_padded, d_cls)
+        for name in model.params:
+            a, b = g_trimmed[name], g_padded[name]
+            if name.endswith("attn.bk"):
+                # Structurally zero: the key bias cancels in the softmax.
+                assert max(np.linalg.norm(a), np.linalg.norm(b)) < ZERO_GRADIENT_FLOOR
+                continue
+            err = np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
+            assert err < 1e-12, f"{name}: {err}"
+
+
+def _two_erf_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def _two_erf_gelu_grad(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+class TestGelu:
+    """gelu returns Phi(x) for gelu_grad to reuse. Scaling by 0.5 is exact, so
+    the one-erf form is bitwise the two-erf reference formulas."""
+
+    def test_bitwise_equal_to_reference_formulas(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate(
+            [np.linspace(-40.0, 40.0, 20001), 3.0 * rng.standard_normal(20000), [0.0, 1e-8, -1e-8]]
+        )
+        mid, phi = gelu(x)
+        assert np.array_equal(mid, _two_erf_gelu(x))
+        assert np.array_equal(gelu_grad(x, phi), _two_erf_gelu_grad(x))
+
+    def test_forward_and_backward_bitwise_unchanged(self, monkeypatch):
+        config = EncoderConfig(hidden_size=16, num_layers=2, num_heads=2, max_len=12, dropout=0.1)
+        model = EncoderModel.initialize(config, 30)
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 30, size=(4, 12))
+        mask = (np.arange(12) < rng.integers(2, 13, size=(4, 1))).astype(float)
+        d_cls = rng.standard_normal((4, 16))
+
+        def run():
+            cls, cache = forward(model, ids, mask, train=True, dropout_rng=np.random.default_rng(7))
+            for layer in cache["layers"]:
+                assert np.array_equal(layer["mid_pre"] * layer["phi"], _two_erf_gelu(layer["mid_pre"]))
+            return cls, backward(model, cache, d_cls)
+
+        cls, grads = run()
+        monkeypatch.setattr(
+            encoder_mod, "gelu", lambda x: (_two_erf_gelu(x), 0.5 * (1.0 + erf(x / np.sqrt(2.0))))
+        )
+        monkeypatch.setattr(encoder_mod, "gelu_grad", lambda x, phi: _two_erf_gelu_grad(x))
+        ref_cls, ref_grads = run()
+        assert cls.tobytes() == ref_cls.tobytes()
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
 
 class TestInit:

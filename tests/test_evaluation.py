@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from helpers import ForwardRecorder
+
+import offlang.evaluation as evaluation_mod
 from offlang.augment import PivotSet
 from offlang.corpus import Corpus, CorpusStats, Label
 from offlang.datagen import (
@@ -13,6 +16,7 @@ from offlang.datagen import (
     toy_encoder_config,
     toy_train_config,
 )
+from offlang.encoder import EncoderModel, build_vocab
 from offlang.errors import DivergenceError, EmptyCorpus
 from offlang.evaluation import (
     ablation_augmentation,
@@ -20,7 +24,9 @@ from offlang.evaluation import (
     evaluate,
     grid_search,
     majority_baseline,
+    predict_labels,
 )
+from offlang.train import train_dual, train_single
 
 OFF, NOT = Label.OFF, Label.NOT
 
@@ -128,6 +134,40 @@ class TestEvaluate:
             "system", "macro_f1", "accuracy", "per_class", "confusion",
             "config_fingerprint", "seed",
         ]
+
+
+class TestPredictLabels:
+    def models(self):
+        corpus = separable_toy_corpus(150, seed=0)
+        encoder_config = toy_encoder_config()
+        vocab = build_vocab(corpus, encoder_config)
+        config = toy_train_config(epochs=1)
+        model_a = EncoderModel.initialize(encoder_config, vocab.size)
+        model_a = train_single(corpus, model_a, vocab, config).model
+        model_b = EncoderModel.initialize(toy_encoder_config(seed=1), vocab.size)
+        head, _ = train_dual(corpus, model_a, model_b, vocab, config)
+        return corpus.texts(), vocab, model_a, model_b, head
+
+    def test_labels_do_not_depend_on_batch_size(self):
+        texts, vocab, model_a, model_b, head = self.models()
+        reference = predict_labels(model_a, head, vocab, texts, second_model=model_b, batch_size=1)
+        assert set(reference) == {OFF, NOT}
+        for batch_size in (7, 128):
+            assert reference == predict_labels(
+                model_a, head, vocab, texts, second_model=model_b, batch_size=batch_size
+            )
+
+    def test_each_forward_gets_one_trimmed_batch(self, monkeypatch):
+        texts, vocab, model_a, model_b, head = self.models()
+        recorder = ForwardRecorder(evaluation_mod.forward)
+        monkeypatch.setattr(evaluation_mod, "forward", recorder)
+        predict_labels(model_a, head, vocab, texts, second_model=model_b, batch_size=64)
+        recorder.assert_per_batch(64)
+        assert [rows for rows, *_ in recorder.calls] == [64, 64, 64, 64, 22, 22]
+
+    def test_empty_input(self):
+        texts, vocab, model_a, _, head = self.models()
+        assert predict_labels(model_a, head, vocab, [], batch_size=8) == []
 
 
 class TestMajorityBaseline:

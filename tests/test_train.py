@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gradient_check, random_batch, random_gradcheck_model
+from helpers import ForwardRecorder, gradient_check, random_batch, random_gradcheck_model
 
+import offlang.train as train_mod
 from offlang.corpus import Corpus, Label
 from offlang.datagen import separable_toy_corpus, toy_encoder_config, toy_train_config
 from offlang.encoder import EncoderModel, build_vocab
 from offlang.errors import DivergenceError, EmptyCorpus
 from offlang.evaluation import predict_labels
 from offlang.train import (
+    FEATURE_BATCH,
     AdamState,
     TrainConfig,
     adam_step,
@@ -228,6 +230,43 @@ class TestTrainDual:
         assert result.model_b.param_bytes() != model_b.param_bytes()
         # inputs untouched
         assert model_a.param_bytes() == self.setup_models(seed=4)[2].param_bytes()
+
+
+class TestPerBatchEncoding:
+    """Every forward call gets one batch, padded to that batch's longest real
+    row, never the whole corpus at max_len."""
+
+    @pytest.fixture()
+    def recorder(self, monkeypatch):
+        recorder = ForwardRecorder(train_mod.forward)
+        monkeypatch.setattr(train_mod, "forward", recorder)
+        return recorder
+
+    def test_fine_tuning(self, recorder):
+        corpus, vocab, model, config = trained_toy(epochs=1)
+        train_single(corpus, model, vocab, config)
+        recorder.assert_per_batch(config.batch_size)
+        assert all(train for *_, train in recorder.calls)
+        assert sum(rows for rows, *_ in recorder.calls) == len(corpus)
+        assert len({length for _, length, _, _ in recorder.calls}) > 1
+
+    def test_frozen_features(self, recorder):
+        corpus, vocab, model, config = trained_toy(epochs=1)
+        config.freeze_encoders = True
+        train_single(corpus, model, vocab, config)
+        recorder.assert_per_batch(FEATURE_BATCH)
+        assert [(rows, train) for rows, _, _, train in recorder.calls] == [
+            (FEATURE_BATCH, False),
+            (len(corpus) - FEATURE_BATCH, False),
+        ]
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_train_dual(self, recorder, joint):
+        corpus, vocab, model, config = trained_toy(epochs=1)
+        model_b = EncoderModel.initialize(model.config, vocab.size)
+        train_dual(corpus, model, model_b, vocab, config, joint=joint)
+        recorder.assert_per_batch(config.batch_size if joint else FEATURE_BATCH)
+        assert sum(rows for rows, *_ in recorder.calls) == 2 * len(corpus)
 
 
 class TestTrainCheckpoint:
