@@ -10,13 +10,14 @@ counts. Only training splits should ever be augmented.
 from __future__ import annotations
 
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, TextIO
 
 from .corpus import Corpus, Label, LabeledExample
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     EmptyCorpus,
     EmptyTranslation,
     InvalidPivots,
+    MalformedTranslationLine,
     ProviderUnavailable,
     TranslationNotFound,
     UnsupportedPair,
@@ -111,15 +113,7 @@ class MappingProvider:
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "MappingProvider":
-        entries: dict[tuple[str, str, str], str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
-                text, source, target, translation = line.split("\t", 3)
-                entries[(_unescape(text), source, target)] = _unescape(translation)
-        return cls(entries)
+        return cls(_parse_translations(path, Path(path).read_text(encoding="utf-8")))
 
     def translate(self, text: str, source: str, target: str) -> str:
         self.calls += 1
@@ -192,6 +186,8 @@ def _escape(text: str) -> str:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out: list[str] = []
     i = 0
     while i < len(text):
@@ -206,27 +202,70 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
+def _parse_translations(path: str | Path, text: str) -> dict[tuple[str, str, str], str]:
+    """(text, source, target) -> translation from the lines of a
+    `source_text<TAB>source<TAB>target<TAB>translation` TSV; blank lines are
+    skipped and a later line overrides an earlier one for the same triple."""
+    entries: dict[tuple[str, str, str], str] = {}
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line:
+            continue
+        fields = line.split("\t", 3)
+        if len(fields) != 4:
+            raise MalformedTranslationLine(
+                path, lineno, f"expected 4 tab-separated fields, found {len(fields)}"
+            )
+        source_text, source, target, translation = fields
+        entries[(_unescape(source_text), source, target)] = _unescape(translation)
+    return entries
+
+
 class TranslationCache:
     """Persistent (text, source, target) -> translation map backed by an
     append-only TSV journal. Read-after-write within a process; reloaded from
     disk on construction so it survives restarts.
+
+    The journal is opened once, on the first `put`, and every entry is flushed
+    to the OS before `put` returns; `close()` (or leaving a `with` block)
+    releases it. A last line without its newline, left by an interrupted
+    write, is dropped on load and cut from the file before the next append.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str, str], str] = {}
         self._lock = threading.Lock()
+        self._journal: TextIO | None = None
+        self._complete_bytes: int | None = None  # set when the last line is torn
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.rstrip("\n")
-                    if not line:
-                        continue
-                    text, source, target, translation = line.split("\t", 3)
-                    self._entries[(_unescape(text), source, target)] = _unescape(translation)
+            self._load()
+
+    def _load(self) -> None:
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            logger.warning(
+                "%s: dropping a torn last line (%d bytes)", self.path, len(data) - end
+            )
+            self._complete_bytes = end
+        # Universal newlines, as text-mode reading gives.
+        text = data[:end].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        self._entries = _parse_translations(self.path, text)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __enter__(self) -> "TranslationCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def get(self, text: str, source: str, target: str) -> str | None:
         return self._entries.get((text, source, target))
@@ -237,11 +276,19 @@ class TranslationCache:
             if key in self._entries:
                 return
             self._entries[key] = translation
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    f"{_escape(text)}\t{source}\t{target}\t{_escape(translation)}\n"
-                )
+            if self._journal is None:
+                self._journal = self._open_journal()
+            self._journal.write(
+                f"{_escape(text)}\t{source}\t{target}\t{_escape(translation)}\n"
+            )
+            self._journal.flush()
+
+    def _open_journal(self) -> TextIO:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self._complete_bytes is not None:
+            os.truncate(self.path, self._complete_bytes)
+            self._complete_bytes = None
+        return open(self.path, "a", encoding="utf-8")
 
 
 def translate(

@@ -305,7 +305,11 @@ def cmd_augment(args) -> int:
     cache_path = args.cache or config.get("augment", {}).get("cache")
     cache = TranslationCache(cache_path) if cache_path else None
     policy = Policy(args.policy or config.get("augment", {}).get("policy", "fail_fast"))
-    augmented = augment_corpus(corpus, pivots, provider, policy=policy, cache=cache)
+    try:
+        augmented = augment_corpus(corpus, pivots, provider, policy=policy, cache=cache)
+    finally:
+        if cache is not None:
+            cache.close()
     out = _out_dir(args)
     out_path = out / "augmented.tsv"
     save_labeled_tsv(augmented, out_path)

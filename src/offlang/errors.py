@@ -22,6 +22,16 @@ class UnknownLabel(MalformedRow):
         self.token = token
 
 
+class MalformedTranslationLine(OffLangError):
+    """A line of a translation file or cache journal that cannot be parsed."""
+
+    def __init__(self, path, line: int, reason: str):
+        super().__init__(f"{path}: line {line}: {reason}")
+        self.path = path
+        self.line = line
+        self.reason = reason
+
+
 class DuplicateId(OffLangError):
     def __init__(self, example_id: str, line: int | None = None):
         where = f" (line {line})" if line is not None else ""

@@ -21,6 +21,8 @@ from pathlib import Path
 STEP_ORDER = ("user_url", "emoji", "hashtag", "slang", "numbers", "whitespace")
 
 MAX_SEGMENT_WORD_LEN = 24
+# Distinct hashtag chunks remembered per lexicon; the memo is cleared when full.
+SEGMENT_MEMO_SIZE = 65536
 USER_PLACEHOLDER = "<user>"
 
 # No lookbehind: replacing one occurrence must not change whether an adjacent
@@ -41,11 +43,11 @@ _EMOJI_RANGES = (
     (0x200D, 0x200D),  # zero-width joiner
     (0x20E3, 0x20E3),  # combining keycap
 )
+_EMOJI_CHARS = frozenset(chr(cp) for lo, hi in _EMOJI_RANGES for cp in range(lo, hi + 1))
 
 
 def is_emoji_codepoint(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+    return ch in _EMOJI_CHARS
 
 
 def _load_two_column_tsv(path: str | Path) -> dict[str, str]:
@@ -71,6 +73,12 @@ class EmojiMap:
         )
         object.__setattr__(
             self, "max_key_len", max((len(k) for k in self.entries), default=1)
+        )
+        # Characters at which map_emoji may start a match or drop a codepoint:
+        # emoji-range codepoints and one-character keys. A longer key whose
+        # first character is neither never starts a match.
+        object.__setattr__(
+            self, "triggers", _EMOJI_CHARS | {k for k in self.entries if len(k) == 1}
         )
 
     @classmethod
@@ -115,6 +123,7 @@ class Lexicon:
             raise ValueError("lexicon must be non-empty")
         self._log_total = math.log(self.total)
         self._log10 = math.log(10.0)
+        self._segment_memo: dict[str, str] = {}
 
     def __contains__(self, word: str) -> bool:
         return word in self.counts
@@ -178,6 +187,10 @@ def map_emoji(text: str, emoji_map: EmojiMap) -> str:
     before it already ends in whitespace. ASCII-only input passes through
     unchanged.
     """
+    triggers = emoji_map.triggers
+    if triggers.isdisjoint(text):
+        # Without a trigger character the loop below copies every character.
+        return text
     out: list[str] = []
     pending_space = False  # a phrase was just emitted; next word needs a gap
     swallow_space = False  # a removal happened right after whitespace
@@ -185,7 +198,8 @@ def map_emoji(text: str, emoji_map: EmojiMap) -> str:
     n = len(text)
     while i < n:
         matched = None
-        if text[i] in emoji_map.entries or is_emoji_codepoint(text[i]):
+        ch = text[i]
+        if ch in triggers:
             limit = min(emoji_map.max_key_len, n - i)
             for length in range(limit, 0, -1):
                 candidate = text[i : i + length]
@@ -200,8 +214,7 @@ def map_emoji(text: str, emoji_map: EmojiMap) -> str:
             swallow_space = False
             i += len(matched)
             continue
-        ch = text[i]
-        if is_emoji_codepoint(ch):
+        if ch in _EMOJI_CHARS:
             swallow_space = bool(out) and out[-1].isspace()
             i += 1
             continue
@@ -223,8 +236,20 @@ def map_emoji(text: str, emoji_map: EmojiMap) -> str:
 def segment_hashtag(tag: str, lexicon: Lexicon) -> str:
     """Best split of a hashtag body under the unigram model, by dynamic
     programming over split points (words capped at MAX_SEGMENT_WORD_LEN).
-    Falls back to the whole tag when no split beats leaving it unsplit."""
+    Falls back to the whole tag when no split beats leaving it unsplit.
+    Results are memoized per lexicon, keyed by the lowercased tag."""
     tag = tag.lower()
+    memo = lexicon._segment_memo
+    cached = memo.get(tag)
+    if cached is None:
+        cached = _segment(tag, lexicon)
+        if len(memo) >= SEGMENT_MEMO_SIZE:
+            memo.clear()
+        memo[tag] = cached
+    return cached
+
+
+def _segment(tag: str, lexicon: Lexicon) -> str:
     n = len(tag)
     if n == 0:
         return tag

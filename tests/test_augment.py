@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 
 import pytest
 
@@ -9,6 +11,8 @@ from offlang.augment import (
     PivotSet,
     Policy,
     TranslationCache,
+    _escape,
+    _unescape,
     augment_corpus,
     augment_example,
     translate,
@@ -19,6 +23,7 @@ from offlang.errors import (
     EmptyCorpus,
     EmptyTranslation,
     InvalidPivots,
+    MalformedTranslationLine,
     ProviderUnavailable,
     TranslationNotFound,
     UnsupportedPair,
@@ -69,6 +74,101 @@ class TestPivotSet:
         assert PivotSet.default_for("tr").pivots == ("en", "fr", "de")
 
 
+def oracle_unescape(text: str) -> str:
+    """The per-character journal unescape, as it was before its fast path."""
+    out: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, "\\" + nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+class TestJournalFormat:
+    def test_unescape_matches_oracle(self):
+        pieces = ["a", "ü", " ", "\\", "\\\\", "\\t", "\\n", "\\r", "\\q", "\\0", "\t", "x\\"]
+        rng = random.Random(12)
+        for _ in range(5_000):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 10)))
+            assert _unescape(text) == oracle_unescape(text), repr(text)
+        for text in ("", "\\", "plain", "end\\", "\\\\\\"):
+            assert _unescape(text) == oracle_unescape(text), repr(text)
+
+    def test_escape_round_trips(self):
+        rng = random.Random(13)
+        pieces = ["a", "\\", "\t", "\n", "\r", "\\t", "⟦", " "]
+        for _ in range(2_000):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 10)))
+            assert _unescape(_escape(text)) == text
+
+    def test_journal_bytes_of_single_threaded_puts(self, tmp_path):
+        path = tmp_path / "sub" / "cache.tsv"
+        with TranslationCache(path) as cache:
+            cache.put("hello", "en", "fr", "bonjour")
+            cache.put("tab\there", "en", "de", "line\nbreak")
+            cache.put("hello", "en", "fr", "ignored: already cached")
+            cache.put("back\\slash", "tr", "en", "cr\rend")
+        with TranslationCache(path) as cache:
+            cache.put("iyi günler", "tr", "en", "good day")
+        assert path.read_bytes() == (
+            "hello\ten\tfr\tbonjour\n"
+            "tab\\there\ten\tde\tline\\nbreak\n"
+            "back\\\\slash\ttr\ten\tcr\\rend\n"
+            "iyi günler\ttr\ten\tgood day\n"
+        ).encode("utf-8")
+
+    def test_each_put_reaches_the_file_before_close(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        cache = TranslationCache(path)
+        cache.put("a", "en", "fr", "b")
+        assert path.read_text(encoding="utf-8") == "a\ten\tfr\tb\n"
+        assert TranslationCache(path).get("a", "en", "fr") == "b"
+        cache.close()
+        cache.close()  # closing twice is harmless
+        cache.put("c", "en", "fr", "d")  # and a later put reopens the journal
+        cache.close()
+        assert path.read_text(encoding="utf-8") == "a\ten\tfr\tb\nc\ten\tfr\td\n"
+
+
+class TestTornJournal:
+    def test_torn_last_line_is_dropped_and_cut_before_append(self, tmp_path, caplog):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"good\ten\tde\tgut\nhello\ten\tfr\tbonj")
+        with caplog.at_level(logging.WARNING, logger="offlang.augment"):
+            cache = TranslationCache(path)
+        assert "torn last line (16 bytes)" in caplog.text
+        assert cache.get("hello", "en", "fr") is None
+        assert cache.get("good", "en", "de") == "gut"
+        cache.put("bye", "en", "fr", "au revoir")
+        cache.close()
+        assert path.read_bytes() == b"good\ten\tde\tgut\nbye\ten\tfr\tau revoir\n"
+        reloaded = TranslationCache(path)
+        assert reloaded.get("hello", "en", "fr") is None
+        assert reloaded.get("bye", "en", "fr") == "au revoir"
+        assert len(reloaded) == 2
+
+    def test_torn_line_with_few_fields_loads(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes("good\ten\tde\tgut\nhel".encode("utf-8") + "ü".encode("utf-8")[:1])
+        cache = TranslationCache(path)
+        assert len(cache) == 1
+        assert path.stat().st_size == len(b"good\ten\tde\tgut\nhel") + 1  # untouched until a put
+
+    def test_malformed_complete_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("good\ten\tde\tgut\n\nbad\ten\n", encoding="utf-8")
+        with pytest.raises(MalformedTranslationLine) as info:
+            TranslationCache(path)
+        assert info.value.line == 3
+        assert str(info.value).startswith(f"{path}: line 3: ")
+
+
 class TestTranslate:
     def test_mock_tagging(self):
         out = translate(MockTaggingProvider(), "iyi günler", "tr", "en")
@@ -94,6 +194,12 @@ class TestTranslate:
     def test_empty_translation_rejected(self):
         with pytest.raises(EmptyTranslation):
             translate(EmptyStringProvider(), "x", "tr", "en")
+
+    def test_mapping_provider_malformed_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "translations.tsv"
+        path.write_text("merhaba\ttr\ten\thello\nbad\ttr\ten\n", encoding="utf-8")
+        with pytest.raises(MalformedTranslationLine, match=f"^{re.escape(str(path))}: line 2: "):
+            MappingProvider.from_tsv(path)
 
     def test_mapping_provider_miss(self):
         provider = MappingProvider({("merhaba", "tr", "en"): "hello"})

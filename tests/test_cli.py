@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from offlang.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, emit_report_table, main
+from offlang.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, emit_report_table, main
 from offlang.corpus import (
     Corpus,
     Label,
@@ -122,6 +122,44 @@ class TestAugmentCommand:
         capsys.readouterr()
 
 
+    @staticmethod
+    def _augment_with_cache(tmp_path, journal: bytes):
+        (tmp_path / "toy.tsv").write_text("1\thello\tNOT\n2\tbye\tOFF\n", encoding="utf-8")
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(journal)
+        code = run(
+            "augment", "--input", tmp_path / "toy.tsv", "--provider", "mock",
+            "--pivots", "fr", "--language", "en", "--cache", cache,
+            "--out-dir", tmp_path / "out",
+        )
+        return code, cache
+
+    def test_torn_cache_line_is_not_served(self, tmp_path, capsys):
+        code, cache = self._augment_with_cache(tmp_path, b"hello\ten\tfr\tbonj")
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "augmented.tsv").read_text(encoding="utf-8").splitlines()
+        assert rows[1] == "1-fr\thello [SEP] fr\u27e6hello\u27e7\tNOT"
+        assert cache.read_text(encoding="utf-8") == (
+            "hello\ten\tfr\tfr\u27e6hello\u27e7\nbye\ten\tfr\tfr\u27e6bye\u27e7\n"
+        )
+        capsys.readouterr()
+
+    def test_torn_cache_line_with_few_fields(self, tmp_path, capsys):
+        code, cache = self._augment_with_cache(tmp_path, b"hello\ten\tfr\tbonjour\nbye\te")
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "augmented.tsv").read_text(encoding="utf-8").splitlines()
+        assert rows[1] == "1-fr\thello [SEP] bonjour\tNOT"
+        assert cache.read_text(encoding="utf-8") == (
+            "hello\ten\tfr\tbonjour\nbye\ten\tfr\tfr\u27e6bye\u27e7\n"
+        )
+        capsys.readouterr()
+
+    def test_malformed_cache_line_is_runtime_failure(self, tmp_path, capsys):
+        code, cache = self._augment_with_cache(tmp_path, b"hello\ten\tfr\tbonjour\nbye\ten\n")
+        assert code == EXIT_RUNTIME
+        assert f"{cache}: line 2: " in capsys.readouterr().err
+
+
 class TestWeaklabelCommand:
     def test_writes_balanced_corpus(self, tmp_path, capsys):
         lines = [f"s{i}\ttweet number {i}\t{i / 999:.4f}" for i in range(1000)]
@@ -228,14 +266,19 @@ class TestAblateCommand:
             "ablate", "--mode", "english", "--config", workspace / "run.yaml",
             "--gold", workspace / "gold.tsv", "--weak", workspace / "weak.tsv",
             "--test", workspace / "test_en.tsv", "--language", "en",
-            "--epochs", "1", "--out-dir", out_dir,
+            "--epochs", "8", "--out-dir", out_dir,
         )
         assert code == EXIT_OK
         table = (out_dir / "table3.tsv").read_text(encoding="utf-8").splitlines()
         assert len(table) == 4
-        assert [line.split("\t")[0] for line in table[1:]] == [
-            "encoder-A-only", "encoder-B-only", "dual",
-        ]
+        rows = [line.split("\t") for line in table[1:]]
+        assert [row[0] for row in rows] == ["encoder-A-only", "encoder-B-only", "dual"]
+        # Every arm learns: each beats predicting NOT for every test row, and
+        # the arms do not all score the same.
+        test_labels = [ex.label for ex in mini_corpus("en", 40, seed=9, split="test")]
+        all_not = evaluate([Label.NOT] * len(test_labels), test_labels).macro_f1
+        assert all(float(row[1]) > all_not + 0.05 for row in rows), table
+        assert len({tuple(row[1:]) for row in rows}) > 1, table
         capsys.readouterr()
 
     def test_english_mode_normalizes_like_train(self, workspace, capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import offlang.normalize as normalize_mod
 from offlang.normalize import (
     EmojiMap,
     Lexicon,
@@ -128,6 +129,137 @@ class TestMapEmoji:
         assert map_emoji("👍🔥", emap) == "thumbs up fire"
         assert map_emoji("👍x", emap) == "thumbs up x"
         assert map_emoji("x👍", emap) == "x thumbs up"
+
+
+# The per-character map_emoji as it was before its set-lookup fast path; the
+# exactness tests below hold the current implementation to it.
+ORACLE_EMOJI_RANGES = (
+    (0x1F000, 0x1FAFF),
+    (0x2600, 0x27BF),
+    (0x2B00, 0x2BFF),
+    (0xFE00, 0xFE0F),
+    (0x200D, 0x200D),
+    (0x20E3, 0x20E3),
+)
+
+
+def oracle_is_emoji_codepoint(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in ORACLE_EMOJI_RANGES)
+
+
+def oracle_map_emoji(text: str, emoji_map: EmojiMap) -> str:
+    out: list[str] = []
+    pending_space = False
+    swallow_space = False
+    i = 0
+    n = len(text)
+    while i < n:
+        matched = None
+        if text[i] in emoji_map.entries or oracle_is_emoji_codepoint(text[i]):
+            limit = min(emoji_map.max_key_len, n - i)
+            for length in range(limit, 0, -1):
+                candidate = text[i : i + length]
+                if candidate in emoji_map.entries:
+                    matched = candidate
+                    break
+        if matched is not None:
+            if out and not out[-1].isspace():
+                out.append(" ")
+            out.append(emoji_map.entries[matched])
+            pending_space = True
+            swallow_space = False
+            i += len(matched)
+            continue
+        ch = text[i]
+        if oracle_is_emoji_codepoint(ch):
+            swallow_space = bool(out) and out[-1].isspace()
+            i += 1
+            continue
+        if ch.isspace():
+            if swallow_space and out and out[-1].isspace():
+                swallow_space = False
+                i += 1
+                continue
+            pending_space = False
+        elif pending_space:
+            out.append(" ")
+            pending_space = False
+        swallow_space = False
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+# Pieces for random map_emoji inputs: ASCII, whitespace runs, mapped one- and
+# multi-codepoint keys (VS16 heart, flag), unmapped emoji-range codepoints,
+# ZWJ and VS16 alone, an out-of-range mapped key (watch), and ":)", a key
+# whose first character is not a trigger.
+EMOJI_FUZZ_PIECES = (
+    list("abcXYZ,.!?019#@:)(")
+    + [" ", "  ", "\t", "\n", " \t ", "\u00a0"]
+    + ["😂", "👍", "🔥", "❤", "❤️", "🇺🇸", "🇺", "⌚", ":)"]
+    + ["🜚", "\U0001FAFF", "\u2600", "\u2bff", "\u20e3", "\u200d", "\ufe0f", "\ufe00"]
+    + ["é", "ß", "\u3042", "\u2603"]
+)
+
+
+class TestMapEmojiExactness:
+    def test_emoji_codepoint_set_matches_ranges(self):
+        for cp in range(0x30000):
+            ch = chr(cp)
+            assert normalize_mod.is_emoji_codepoint(ch) == oracle_is_emoji_codepoint(ch), hex(cp)
+
+    @pytest.mark.parametrize("which", ["bundled", "custom"])
+    def test_matches_per_character_oracle(self, config, which):
+        emap = config.emoji_map if which == "bundled" else EmojiMap(
+            {":)": "smile", "❤": "heart", "❤️": "red heart", "😂": "joy",
+             "⌚": "watch", "🇺🇸": "flag us", "a": "letter a"}
+        )
+        rng = random.Random(41 if which == "bundled" else 42)
+        for _ in range(5_000):
+            text = "".join(rng.choices(EMOJI_FUZZ_PIECES, k=rng.randint(0, 16)))
+            assert map_emoji(text, emap) == oracle_map_emoji(text, emap), repr(text)
+
+    def test_multi_character_key_with_plain_first_character_never_matches(self):
+        emap = EmojiMap({":)": "smile"})
+        assert map_emoji("hi :) there", emap) == "hi :) there"
+        assert map_emoji("hi :) 😂", emap) == oracle_map_emoji("hi :) 😂", emap) == "hi :) "
+
+    def test_text_without_triggers_is_returned_as_is(self, config):
+        text = "plain text, no emoji \t here"
+        assert map_emoji(text, config.emoji_map) is text
+
+    def test_empty_map(self):
+        emap = EmojiMap({})
+        for text in ("", "abc", "a 😂 b", "❤️"):
+            assert map_emoji(text, emap) == oracle_map_emoji(text, emap)
+
+
+class TestSegmentHashtagMemo:
+    def test_repeated_calls_give_first_result(self, toy_lexicon):
+        tags = ["nowplaying", "NowPlaying", "bananaband", "xqzt", "", "standonthe"]
+        first = [segment_hashtag(t, toy_lexicon) for t in tags]
+        fresh = Lexicon(dict(toy_lexicon.counts))
+        assert first == [segment_hashtag(t, fresh) for t in tags]
+        for _ in range(3):
+            assert [segment_hashtag(t, toy_lexicon) for t in tags] == first
+
+    def test_memo_is_per_lexicon(self):
+        joined = Lexicon({"now": 10, "here": 10, "nowhere": 1000})
+        split = Lexicon({"now": 1000, "here": 1000, "nowhere": 1})
+        for _ in range(2):
+            assert segment_hashtag("nowhere", joined) == "nowhere"
+            assert segment_hashtag("nowhere", split) == "now here"
+
+    def test_memo_is_bounded(self, toy_lexicon, monkeypatch):
+        monkeypatch.setattr(normalize_mod, "SEGMENT_MEMO_SIZE", 3)
+        lexicon = Lexicon(dict(toy_lexicon.counts))
+        rng = random.Random(8)
+        for _ in range(200):
+            tag = "".join(rng.choices("abdghinoplstwy", k=rng.randint(1, 10)))
+            assert segment_hashtag(tag, lexicon) == segment_hashtag(tag, toy_lexicon)
+            assert len(lexicon._segment_memo) <= 3
 
 
 class TestSlangMap:
