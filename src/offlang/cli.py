@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,8 +70,12 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    with open(p, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
+    try:
+        with open(p, encoding="utf-8") as fh:
+            data = yaml.safe_load(fh) or {}
+    except yaml.YAMLError as exc:
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"config file {p} is not valid YAML: {detail}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {p} must hold a mapping at the top level")
     return data
@@ -82,6 +87,8 @@ def _require_input(path: str | None, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{what} not found: {p}")
+    if p.is_dir():
+        raise ConfigError(f"{what} is a directory: {p}")
     return p
 
 
@@ -150,14 +157,28 @@ def _normalized_corpus(corpus: Corpus, config: dict) -> Corpus:
     return Corpus(corpus.language, corpus.split, examples)
 
 
+def _section(config: dict, name: str, allowed: set[str]) -> dict:
+    """A copy of config[name], which must be a mapping whose keys are all in
+    `allowed`."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, got {section!r}")
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {name}.{key}")
+    return dict(section)
+
+
 def _encoder_config(config: dict, seed: int) -> EncoderConfig:
-    section = dict(config.get("encoder", {}))
+    section = _section(config, "encoder", {f.name for f in fields(EncoderConfig)})
     section.setdefault("init_seed", seed)
     return EncoderConfig(**section)
 
 
 def _train_config(config: dict, args, language: str, seed: int) -> TrainConfig:
-    section = dict(config.get("train", {}))
+    # language and seed come from their own settings, not from this section.
+    allowed = {f.name for f in fields(TrainConfig)} - {"language", "seed"}
+    section = _section(config, "train", allowed)
     for key, flag in (
         ("epochs", "epochs"),
         ("batch_size", "batch_size"),

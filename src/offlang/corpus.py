@@ -26,10 +26,6 @@ from .errors import (
     UnknownLabel,
 )
 
-LANGUAGES = ("en", "da", "tr", "ar", "el")
-SPLITS = ("train", "validation", "test")
-
-
 class Label(Enum):
     OFF = "OFF"
     NOT = "NOT"

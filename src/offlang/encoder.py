@@ -54,20 +54,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def to_tsv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for idx, token in enumerate(self.id_to_token):
-                fh.write(f"{token}\t{idx}\n")
-
-    @classmethod
-    def from_tsv(cls, path: str | Path) -> "Vocabulary":
-        mapping: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                token, idx = line.rstrip("\n").split("\t")
-                mapping[token] = int(idx)
-        return cls(mapping)
-
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
         return cls({tok: idx for idx, tok in enumerate(tokens)})
@@ -129,32 +115,11 @@ def build_vocab(corpus: Corpus, config: EncoderConfig) -> Vocabulary:
     return Vocabulary.from_tokens(tokens)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    ids: np.ndarray  # (T,) int64
-    mask: np.ndarray  # (T,) float64, 1.0 over real tokens
-
-
 def _token_ids(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
     """[CLS] + tokens + [SEP], at most max_len ids; truncation keeps leading
     tokens and always retains the final [SEP]."""
     tokens = tokenize(text)[: max_len - 2]
     return [CLS_ID] + [vocab.id_of(tok) for tok in tokens] + [SEP_ID]
-
-
-def _padded(rows: list[list[int]], length: int) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.full((len(rows), length), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(rows), length), dtype=np.float64)
-    for i, row in enumerate(rows):
-        ids[i, : len(row)] = row
-        mask[i, : len(row)] = 1.0
-    return ids, mask
-
-
-def tokenize_encode(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """One sequence right-padded to exactly max_len (see _token_ids)."""
-    ids, mask = _padded([_token_ids(text, vocab, max_len)], max_len)
-    return TokenSequence(ids[0], mask[0])
 
 
 def encode_corpus(texts: list[str], vocab: Vocabulary, max_len: int):
@@ -163,7 +128,13 @@ def encode_corpus(texts: list[str], vocab: Vocabulary, max_len: int):
     max_len. Attention costs O(T^2), so callers encode one batch at a time
     and each batch pays only for its own longest row."""
     rows = [_token_ids(t, vocab, max_len) for t in texts]
-    return _padded(rows, max((len(row) for row in rows), default=0))
+    length = max((len(row) for row in rows), default=0)
+    ids = np.full((len(rows), length), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(rows), length), dtype=np.float64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+        mask[i, : len(row)] = 1.0
+    return ids, mask
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -408,29 +379,6 @@ def backward(model: EncoderModel, cache: dict, d_cls: np.ndarray) -> dict[str, n
     np.add.at(grads["tok_emb"], ids, dx)
     grads["pos_emb"][:T] += dx.sum(axis=0)
     return grads
-
-
-def encode(model: EncoderModel, seq: TokenSequence) -> np.ndarray:
-    """CLS sentence vector (length h) for one sequence; inference mode."""
-    cls, _ = forward(model, seq.ids[None, :], seq.mask[None, :])
-    return cls[0]
-
-
-def dual_encode(
-    model_a: EncoderModel, model_b: EncoderModel, seq: TokenSequence
-) -> np.ndarray:
-    """Concatenated CLS vectors from two encoders sharing tokenizer and max_len."""
-    if model_a.config.max_len != model_b.config.max_len:
-        raise ValueError("dual_encode requires matching max_len")
-    if model_a.params["tok_emb"].shape[0] != model_b.params["tok_emb"].shape[0]:
-        raise ValueError("dual_encode requires a shared vocabulary")
-    return np.concatenate([encode(model_a, seq), encode(model_b, seq)])
-
-
-def attention_maps(model: EncoderModel, ids: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """Per-layer attention probability tensors (B, heads, T, T); inference mode."""
-    _, cache = forward(model, ids, mask)
-    return [layer["probs"] for layer in cache["layers"]]
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,16 @@ def predict_labels(
 ) -> list[Label]:
     """Inference on original sentences only: encode, apply the head, argmax.
 
-    Texts are encoded one batch at a time, each batch padded to its longest
-    row, so labels do not depend on batch_size."""
+    With second_model, the head reads the concatenated CLS vectors of both
+    encoders, which must share max_len and vocabulary size. Texts are
+    encoded one batch at a time, each batch padded to its longest row, so
+    labels do not depend on batch_size."""
     max_len = model.config.max_len
+    if second_model is not None:
+        if second_model.config.max_len != max_len:
+            raise ValueError("dual inference requires encoders with matching max_len")
+        if second_model.params["tok_emb"].shape[0] != model.params["tok_emb"].shape[0]:
+            raise ValueError("dual inference requires encoders with a shared vocabulary")
     out: list[Label] = []
     for start in range(0, len(texts), batch_size):
         bi, bm = encode_corpus(texts[start : start + batch_size], vocab, max_len)

@@ -113,21 +113,6 @@ class AdamState:
         )
 
 
-def cross_entropy_loss(logits: np.ndarray, label: Label) -> tuple[float, np.ndarray]:
-    """Loss and gradient for one logit pair: -log softmax(logits)[label],
-    stabilized with log-sum-exp; gradient is softmax(logits) - one_hot."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError(f"non-finite logits: {logits}")
-    idx = label_index(label)
-    shifted = logits - logits.max()
-    log_z = np.log(np.exp(shifted).sum())
-    loss = float(log_z - shifted[idx])
-    grad = np.exp(shifted - log_z)
-    grad[idx] -= 1.0
-    return loss, grad
-
-
 def _batch_cross_entropy(logits: np.ndarray, label_idx: np.ndarray):
     """Mean loss over a batch and dloss/dlogits (already divided by batch size)."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -188,69 +173,20 @@ def _frozen_features(model: EncoderModel, texts: list[str], vocab: Vocabulary) -
     return np.concatenate(batches)
 
 
-def train_single(
-    corpus: Corpus, model: EncoderModel, vocab: Vocabulary, config: TrainConfig
-) -> TrainResult:
-    """Fine-tune encoder + head with cross-entropy over seeded-shuffled
-    mini-batches (the final short batch is used, not dropped). Each batch is
-    encoded when it is drawn, padded to its longest row. With freeze_encoders
-    the CLS vectors are computed once in inference mode and only the head is
-    optimized. The input model is not mutated."""
-    if len(corpus) == 0:
-        raise EmptyCorpus("cannot train on an empty corpus")
-    model = model.copy()
-    h = model.config.hidden_size
-    rng = np.random.default_rng(config.seed)
-    head = ClassifierHead.initialize(h, config.seed)
-
-    texts = corpus.texts()
-    y = np.array([label_index(ex.label) for ex in corpus], dtype=np.int64)
-    n = len(corpus)
-
-    if config.freeze_encoders:
-        cls_all = _frozen_features(model, texts, vocab)
-        trace = _train_head_on_vectors(cls_all, y, head, config, rng)
-        return TrainResult(model=model, head=head, loss_trace=trace)
-
-    params = {f"enc.{k}": v for k, v in model.params.items()}
-    params["head.w"] = head.w
-    params["head.b"] = head.b
-    adam = AdamState.init_like(params)
-
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for b_start in range(0, n, config.batch_size):
-            sel = perm[b_start : b_start + config.batch_size]
-            ids, mask = encode_corpus([texts[i] for i in sel], vocab, model.config.max_len)
-            cls, cache = forward(model, ids, mask, train=True, dropout_rng=rng)
-            logits = cls @ head.w + head.b
-            loss, dlogits = _batch_cross_entropy(logits, y[sel])
-            _check_divergence(loss, epoch, b_start // config.batch_size)
-            epoch_loss += loss * len(sel)
-
-            grads = {
-                "head.w": cls.T @ dlogits,
-                "head.b": dlogits.sum(axis=0),
-            }
-            d_cls = dlogits @ head.w.T
-            enc_grads = backward(model, cache, d_cls)
-            grads.update({f"enc.{k}": g for k, g in enc_grads.items()})
-            adam_step(params, grads, adam, config.learning_rate)
-        trace.append(epoch_loss / n)
-    return TrainResult(model=model, head=head, loss_trace=trace)
-
-
-def _train_head_on_vectors(
-    vectors: np.ndarray,
-    y: np.ndarray,
-    head: ClassifierHead,
+def _fit(
+    params: dict[str, np.ndarray],
+    n: int,
+    step,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> list[float]:
-    n = len(y)
-    params = {"head.w": head.w, "head.b": head.b}
+    """The training loop shared by every mode; returns the mean loss per epoch.
+
+    Each epoch walks one seeded permutation of the n rows in mini-batches (the
+    final short batch is used, not dropped). step(sel) returns the batch's
+    mean loss and a callable giving the gradients of `params`; the loss is
+    checked for divergence before any backward pass, then Adam updates
+    `params` in place."""
     adam = AdamState.init_like(params)
     trace: list[float] = []
     for epoch in range(config.epochs):
@@ -258,25 +194,66 @@ def _train_head_on_vectors(
         epoch_loss = 0.0
         for b_start in range(0, n, config.batch_size):
             sel = perm[b_start : b_start + config.batch_size]
-            logits = vectors[sel] @ head.w + head.b
-            loss, dlogits = _batch_cross_entropy(logits, y[sel])
+            loss, grads = step(sel)
             _check_divergence(loss, epoch, b_start // config.batch_size)
             epoch_loss += loss * len(sel)
-            grads = {
-                "head.w": vectors[sel].T @ dlogits,
-                "head.b": dlogits.sum(axis=0),
-            }
-            adam_step(params, grads, adam, config.learning_rate)
+            adam_step(params, grads(), adam, config.learning_rate)
         trace.append(epoch_loss / n)
     return trace
 
 
-@dataclass
-class DualTrainResult:
-    head: ClassifierHead
-    loss_trace: list[float]
-    model_a: EncoderModel
-    model_b: EncoderModel
+def _head_step(vectors: np.ndarray, y: np.ndarray, head: ClassifierHead):
+    """Training step for a head on fixed sentence vectors (frozen encoders)."""
+
+    def step(sel):
+        x = vectors[sel]
+        loss, dlogits = _batch_cross_entropy(x @ head.w + head.b, y[sel])
+        return loss, lambda: {"head.w": x.T @ dlogits, "head.b": dlogits.sum(axis=0)}
+
+    return step
+
+
+def _label_ids(corpus: Corpus) -> np.ndarray:
+    return np.array([label_index(ex.label) for ex in corpus], dtype=np.int64)
+
+
+def train_single(
+    corpus: Corpus, model: EncoderModel, vocab: Vocabulary, config: TrainConfig
+) -> TrainResult:
+    """Fine-tune encoder + head with cross-entropy over seeded-shuffled
+    mini-batches. Each batch is encoded when it is drawn, padded to its
+    longest row. With freeze_encoders the CLS vectors are computed once in
+    inference mode and only the head is optimized. The input model is not
+    mutated."""
+    if len(corpus) == 0:
+        raise EmptyCorpus("cannot train on an empty corpus")
+    model = model.copy()
+    rng = np.random.default_rng(config.seed)
+    head = ClassifierHead.initialize(model.config.hidden_size, config.seed)
+    texts = corpus.texts()
+    y = _label_ids(corpus)
+    params = {"head.w": head.w, "head.b": head.b}
+
+    if config.freeze_encoders:
+        step = _head_step(_frozen_features(model, texts, vocab), y, head)
+    else:
+        params.update({f"enc.{k}": v for k, v in model.params.items()})
+
+        def step(sel):
+            ids, mask = encode_corpus([texts[i] for i in sel], vocab, model.config.max_len)
+            cls, cache = forward(model, ids, mask, train=True, dropout_rng=rng)
+            loss, dlogits = _batch_cross_entropy(cls @ head.w + head.b, y[sel])
+
+            def grads():
+                out = {"head.w": cls.T @ dlogits, "head.b": dlogits.sum(axis=0)}
+                enc_grads = backward(model, cache, dlogits @ head.w.T)
+                out.update({f"enc.{k}": g for k, g in enc_grads.items()})
+                return out
+
+            return loss, grads
+
+    trace = _fit(params, len(corpus), step, config, rng)
+    return TrainResult(model=model, head=head, loss_trace=trace)
 
 
 def train_dual(
@@ -285,63 +262,26 @@ def train_dual(
     model_b: EncoderModel,
     vocab: Vocabulary,
     config: TrainConfig,
-    *,
-    joint: bool = False,
-) -> tuple[ClassifierHead, list[float]] | DualTrainResult:
+) -> tuple[ClassifierHead, list[float]]:
     """Train a 2h -> 2 head on concatenated CLS vectors from two fine-tuned
-    encoders. Encoders stay frozen (representations extracted once, in
-    inference mode) unless joint=True, which backpropagates into copies of
-    both encoders and returns them alongside the head."""
+    encoders. Both encoders stay frozen: their representations are extracted
+    once, in inference mode."""
     if len(head_corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     if model_a.config.hidden_size != model_b.config.hidden_size:
         raise ValueError("dual training requires encoders with matching hidden size")
     if model_a.config.max_len != model_b.config.max_len:
         raise ValueError("dual training requires encoders with matching max_len")
-    h = model_a.config.hidden_size
     rng = np.random.default_rng(config.seed)
-    head = ClassifierHead.initialize(2 * h, config.seed)
-
+    head = ClassifierHead.initialize(2 * model_a.config.hidden_size, config.seed)
     texts = head_corpus.texts()
-    y = np.array([label_index(ex.label) for ex in head_corpus], dtype=np.int64)
-    n = len(head_corpus)
-
-    if not joint:
-        vectors = np.concatenate(
-            [_frozen_features(model_a, texts, vocab), _frozen_features(model_b, texts, vocab)],
-            axis=1,
-        )
-        trace = _train_head_on_vectors(vectors, y, head, config, rng)
-        return head, trace
-
-    model_a = model_a.copy()
-    model_b = model_b.copy()
-    params = {f"a.{k}": v for k, v in model_a.params.items()}
-    params.update({f"b.{k}": v for k, v in model_b.params.items()})
-    params["head.w"] = head.w
-    params["head.b"] = head.b
-    adam = AdamState.init_like(params)
-    trace = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for b_start in range(0, n, config.batch_size):
-            sel = perm[b_start : b_start + config.batch_size]
-            ids, mask = encode_corpus([texts[i] for i in sel], vocab, model_a.config.max_len)
-            cls_a, cache_a = forward(model_a, ids, mask, train=True, dropout_rng=rng)
-            cls_b, cache_b = forward(model_b, ids, mask, train=True, dropout_rng=rng)
-            cls = np.concatenate([cls_a, cls_b], axis=1)
-            logits = cls @ head.w + head.b
-            loss, dlogits = _batch_cross_entropy(logits, y[sel])
-            _check_divergence(loss, epoch, b_start // config.batch_size)
-            epoch_loss += loss * len(sel)
-            grads = {"head.w": cls.T @ dlogits, "head.b": dlogits.sum(axis=0)}
-            d_cls = dlogits @ head.w.T
-            grads.update({f"a.{k}": g for k, g in backward(model_a, cache_a, d_cls[:, :h]).items()})
-            grads.update({f"b.{k}": g for k, g in backward(model_b, cache_b, d_cls[:, h:]).items()})
-            adam_step(params, grads, adam, config.learning_rate)
-        trace.append(epoch_loss / n)
-    return DualTrainResult(head=head, loss_trace=trace, model_a=model_a, model_b=model_b)
+    vectors = np.concatenate(
+        [_frozen_features(model_a, texts, vocab), _frozen_features(model_b, texts, vocab)],
+        axis=1,
+    )
+    step = _head_step(vectors, _label_ids(head_corpus), head)
+    trace = _fit({"head.w": head.w, "head.b": head.b}, len(head_corpus), step, config, rng)
+    return head, trace
 
 
 def save_train_checkpoint(
@@ -350,25 +290,11 @@ def save_train_checkpoint(
     vocab: Vocabulary,
     head: ClassifierHead,
     *,
-    adam: AdamState | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Encoder checkpoint container extended with head parameters and,
-    optionally, Adam state for resumable training."""
+    """Encoder checkpoint container extended with the head parameters."""
     extra = {"head.w": head.w, "head.b": head.b}
-    merged_meta = dict(meta or {})
-    if adam is not None:
-        for name, m in adam.m.items():
-            extra[f"adam.m.{name}"] = m
-        for name, v in adam.v.items():
-            extra[f"adam.v.{name}"] = v
-        merged_meta["adam"] = {
-            "t": adam.t,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps": adam.eps,
-        }
-    save_checkpoint(path, model, vocab, extra_tensors=extra, meta=merged_meta)
+    save_checkpoint(path, model, vocab, extra_tensors=extra, meta=meta)
 
 
 @dataclass
@@ -376,32 +302,13 @@ class TrainCheckpoint:
     model: EncoderModel
     vocab: Vocabulary
     head: ClassifierHead
-    adam: AdamState | None
     meta: dict
 
 
 def load_train_checkpoint(path: str | Path) -> TrainCheckpoint:
     ckpt: Checkpoint = load_checkpoint(path)
+    for name in ("head.w", "head.b"):
+        if name not in ckpt.tensors:
+            raise ValueError(f"{path}: checkpoint has no {name} tensor")
     head = ClassifierHead(w=ckpt.tensors["head.w"], b=ckpt.tensors["head.b"])
-    adam = None
-    if "adam" in ckpt.meta:
-        meta = ckpt.meta["adam"]
-        adam = AdamState(
-            m={
-                k.removeprefix("adam.m."): t
-                for k, t in ckpt.tensors.items()
-                if k.startswith("adam.m.")
-            },
-            v={
-                k.removeprefix("adam.v."): t
-                for k, t in ckpt.tensors.items()
-                if k.startswith("adam.v.")
-            },
-            t=meta["t"],
-            beta1=meta["beta1"],
-            beta2=meta["beta2"],
-            eps=meta["eps"],
-        )
-    return TrainCheckpoint(
-        model=ckpt.model(), vocab=ckpt.vocab, head=head, adam=adam, meta=ckpt.meta
-    )
+    return TrainCheckpoint(model=ckpt.model(), vocab=ckpt.vocab, head=head, meta=ckpt.meta)

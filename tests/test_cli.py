@@ -13,6 +13,7 @@ from offlang.corpus import (
     save_labeled_tsv,
 )
 from offlang.datagen import mini_corpus
+from offlang.encoder import EncoderConfig, EncoderModel, build_vocab, save_checkpoint
 from offlang.errors import ArityMismatch
 from offlang.evaluation import evaluate
 from offlang.normalize import NormalizationConfig, normalize
@@ -71,6 +72,52 @@ class TestExitCodes:
         )
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("train: {epochs: 1\n", "not valid YAML"),
+            ("encoder: {hiden_size: 8}\n", "encoder.hiden_size"),
+            ("train: {epoch: 1}\n", "train.epoch"),
+            ("train: {seed: 4}\n", "train.seed"),
+            ("train: 5\n", "'train' must be a mapping"),
+            ("encoder: [8]\n", "'encoder' must be a mapping"),
+        ],
+        ids=[
+            "malformed_yaml", "unknown_encoder_key", "unknown_train_key",
+            "seed_in_train_section", "scalar_section", "list_section",
+        ],
+    )
+    def test_bad_config_is_config_error(self, workspace, capsys, text, message):
+        config = workspace / "bad.yaml"
+        config.write_text(text, encoding="utf-8")
+        code = run(
+            "train", "--config", config, "--input", workspace / "train.tsv",
+            "--language", "tr", "--epochs", "1", "--out-dir", workspace / "o",
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_directory_input_is_config_error(self, tmp_path, capsys):
+        assert run("stats", "--input", tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "is a directory" in err and str(tmp_path) in err
+
+    def test_checkpoint_without_head_is_runtime_failure(self, workspace, capsys):
+        corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
+        config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
+        vocab = build_vocab(corpus, config)
+        path = workspace / "encoder_only.ckpt"
+        save_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab)
+        code = run(
+            "evaluate", "--checkpoint", path,
+            "--input", workspace / "test.tsv", "--out-dir", workspace / "o",
+        )
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "head.w" in err and str(path) in err
 
 
 class TestStats:

@@ -15,11 +15,8 @@ from offlang.encoder import (
     EncoderConfig,
     EncoderModel,
     Vocabulary,
-    attention_maps,
     backward,
     build_vocab,
-    dual_encode,
-    encode,
     encode_corpus,
     forward,
     gelu,
@@ -27,9 +24,10 @@ from offlang.encoder import (
     load_checkpoint,
     save_checkpoint,
     tokenize,
-    tokenize_encode,
 )
 from offlang.errors import EmptyCorpus
+from offlang.evaluation import predict_labels
+from offlang.train import ClassifierHead
 
 
 def corpus_of(texts):
@@ -79,36 +77,6 @@ class TestBuildVocab:
         with pytest.raises(EmptyCorpus):
             build_vocab(corpus_of([]), TINY)
 
-    def test_tsv_round_trip(self, tmp_path):
-        vocab = build_vocab(corpus_of(["a b", "a c"]), TINY)
-        vocab.to_tsv(tmp_path / "v.tsv")
-        again = Vocabulary.from_tsv(tmp_path / "v.tsv")
-        assert again.token_to_id == vocab.token_to_id
-
-
-class TestTokenizeEncode:
-    def test_layout(self):
-        vocab = build_vocab(corpus_of(["a b"]), TINY)
-        seq = tokenize_encode("a b", vocab, max_len=8)
-        a, b = vocab.id_of("a"), vocab.id_of("b")
-        assert seq.ids.tolist() == [CLS_ID, a, b, SEP_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
-        assert seq.mask.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
-
-    def test_empty_string(self):
-        vocab = build_vocab(corpus_of(["a"]), TINY)
-        seq = tokenize_encode("", vocab, max_len=8)
-        assert seq.ids.tolist()[:2] == [CLS_ID, SEP_ID]
-        assert seq.mask.sum() == 2
-
-    def test_truncation_keeps_head_and_sep(self):
-        vocab = build_vocab(corpus_of(["w"]), TINY)
-        text = " ".join(f"tok{i}" for i in range(200))
-        seq = tokenize_encode(text, vocab, max_len=128)
-        assert len(seq.ids) == 128
-        assert seq.ids[0] == CLS_ID
-        assert seq.ids[127] == SEP_ID
-        assert seq.mask.sum() == 128
-
 
 class TestEncodeCorpus:
     def test_pads_to_longest_row(self):
@@ -141,20 +109,31 @@ def tiny_model(seed=0, vocab_size=12):
     return EncoderModel.initialize(config, vocab_size)
 
 
+AB_VOCAB = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a", "b"])
+
+
+def cls_vectors(model, texts, vocab=AB_VOCAB):
+    ids, mask = encode_corpus(texts, vocab, model.config.max_len)
+    return forward(model, ids, mask)[0]
+
+
+def attention_probs(model, ids, mask):
+    return [layer["probs"] for layer in forward(model, ids, mask)[1]["layers"]]
+
+
 class TestForward:
     def test_output_length(self):
-        model = tiny_model()
-        vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a", "b"])
-        vec = encode(model, tokenize_encode("a b", vocab, 8))
-        assert vec.shape == (8,)
+        vec = cls_vectors(tiny_model(), ["a b"])
+        assert vec.shape == (1, 8)
         assert np.all(np.isfinite(vec))
 
     def test_padding_invariance(self):
+        # Alone, "a b" is 4 ids wide; beside a 6-token text it is padded to 8.
         model = tiny_model()
-        vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a", "b"])
-        short = encode(model, tokenize_encode("a b", vocab, 5))
-        long = encode(model, tokenize_encode("a b", vocab, 8))
-        assert np.allclose(short, long, atol=1e-6)
+        short = cls_vectors(model, ["a b"])
+        long = cls_vectors(model, ["a b", "a b a b a b"])
+        assert long.shape == (2, 8)
+        assert np.allclose(short[0], long[0], atol=1e-6)
 
     def test_attention_rows_sum_to_one(self):
         model = tiny_model()
@@ -162,7 +141,7 @@ class TestForward:
         ids = rng.integers(0, 12, size=(3, 8))
         mask = np.ones((3, 8))
         mask[:, 6:] = 0.0
-        for probs in attention_maps(model, ids, mask):
+        for probs in attention_probs(model, ids, mask):
             sums = probs.sum(axis=-1)
             assert np.allclose(sums, 1.0, atol=1e-6)
 
@@ -172,21 +151,17 @@ class TestForward:
         ids = rng.integers(0, 12, size=(2, 8))
         mask = np.ones((2, 8))
         mask[:, 5:] = 0.0
-        for probs in attention_maps(model, ids, mask):
+        for probs in attention_probs(model, ids, mask):
             assert probs[:, :, :, 5:].max() < 1e-9
 
     def test_deterministic_inference(self):
         model = tiny_model()
-        vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
-        seq = tokenize_encode("a a a", vocab, 8)
-        assert np.array_equal(encode(model, seq), encode(model, seq))
+        assert np.array_equal(cls_vectors(model, ["a a a"]), cls_vectors(model, ["a a a"]))
 
     def test_out_of_range_id_rejected(self):
         model = tiny_model(vocab_size=6)
         ids = np.full((1, 8), 7, dtype=np.int64)
         with pytest.raises(ValueError):
-            from offlang.encoder import forward
-
             forward(model, ids, np.ones((1, 8)))
 
 
@@ -299,40 +274,63 @@ class TestInit:
 
 
 class TestDualEncode:
+    """Dual-encoder inference: predict_labels(second_model=) applies the head
+    to [CLS of model | CLS of second_model]."""
+
+    TEXTS = ["a", "b", "a b", "b a", "a a b", "b b", "a b b a", ""]
+
     def make(self, seed):
-        vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a", "b"])
-        return tiny_model(seed, vocab_size=vocab.size), vocab
+        return tiny_model(seed, vocab_size=AB_VOCAB.size)
+
+    def head(self, seed, *models):
+        """A random head over the models' concatenated vectors, its bias set
+        so that half of TEXTS fall on each side of the decision boundary."""
+        vectors = np.concatenate([cls_vectors(m, self.TEXTS) for m in models], axis=1)
+        w = np.random.default_rng(seed).standard_normal((vectors.shape[1], 2))
+        margin = vectors @ (w[:, 0] - w[:, 1])
+        return ClassifierHead(w=w, b=np.array([-np.median(margin), 0.0]))
+
+    def predict(self, model, head, second_model=None):
+        return predict_labels(model, head, AB_VOCAB, self.TEXTS, second_model=second_model)
 
     def test_concatenation_length(self):
-        model_a, vocab = self.make(1)
-        model_b, _ = self.make(2)
-        seq = tokenize_encode("a b", vocab, 8)
-        assert dual_encode(model_a, model_b, seq).shape == (16,)
+        model_a, model_b = self.make(1), self.make(2)
+        assert len(self.predict(model_a, self.head(0, model_a, model_b), model_b)) == len(self.TEXTS)
+        with pytest.raises(ValueError):
+            self.predict(model_a, self.head(0, model_a), model_b)
 
     def test_same_model_halves_equal(self):
-        model, vocab = self.make(1)
-        seq = tokenize_encode("a b", vocab, 8)
-        vec = dual_encode(model, model, seq)
-        assert np.array_equal(vec[:8], vec[8:])
+        # Either half of a duplicated encoder's vector is the single vector.
+        model = self.make(1)
+        head = self.head(3, model)
+        single = self.predict(model, head)
+        assert len(set(single)) == 2
+        zeros = np.zeros_like(head.w)
+        for stacked in (np.vstack([head.w, zeros]), np.vstack([zeros, head.w])):
+            assert self.predict(model, ClassifierHead(stacked, head.b), model) == single
 
     def test_swap_order_swaps_halves(self):
-        model_a, vocab = self.make(1)
-        model_b, _ = self.make(2)
-        seq = tokenize_encode("a b", vocab, 8)
-        ab = dual_encode(model_a, model_b, seq)
-        ba = dual_encode(model_b, model_a, seq)
-        assert np.array_equal(ab[:8], ba[8:])
-        assert np.array_equal(ab[8:], ba[:8])
-        assert np.linalg.norm(ab) == pytest.approx(np.linalg.norm(ba))
+        model_a, model_b = self.make(1), self.make(2)
+        head = self.head(4, model_a, model_b)
+        ab = self.predict(model_a, head, model_b)
+        swapped = ClassifierHead(np.vstack([head.w[8:], head.w[:8]]), head.b)
+        assert self.predict(model_b, swapped, model_a) == ab
+        assert len(set(ab)) == 2
 
     def test_mismatched_configs_rejected(self):
-        model_a, vocab = self.make(1)
+        model_a = self.make(1)
         other = EncoderConfig(
             hidden_size=8, num_layers=1, num_heads=2, max_len=6, vocab_cap=50, dropout=0.0
         )
-        model_b = EncoderModel.initialize(other, vocab.size)
-        with pytest.raises(ValueError):
-            dual_encode(model_a, model_b, tokenize_encode("a", vocab, 8))
+        model_b = EncoderModel.initialize(other, AB_VOCAB.size)
+        head = self.head(0, model_a, model_a)
+        with pytest.raises(ValueError, match="max_len"):
+            self.predict(model_a, head, model_b)
+        # A larger embedding table runs silently whenever no id exceeds the
+        # smaller one, so a differing vocabulary size is rejected up front.
+        wider = tiny_model(2, vocab_size=AB_VOCAB.size + 5)
+        with pytest.raises(ValueError, match="vocabulary"):
+            self.predict(model_a, head, wider)
 
 
 class TestCheckpoint:

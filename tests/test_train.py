@@ -8,15 +8,17 @@ from helpers import ForwardRecorder, gradient_check, random_batch, random_gradch
 import offlang.train as train_mod
 from offlang.corpus import Corpus, Label
 from offlang.datagen import separable_toy_corpus, toy_encoder_config, toy_train_config
-from offlang.encoder import EncoderModel, build_vocab
+from offlang.encoder import EncoderModel, build_vocab, save_checkpoint
 from offlang.errors import DivergenceError, EmptyCorpus
 from offlang.evaluation import predict_labels
 from offlang.train import (
     FEATURE_BATCH,
     AdamState,
     TrainConfig,
+    _batch_cross_entropy,
+    _check_divergence,
     adam_step,
-    cross_entropy_loss,
+    label_index,
     load_train_checkpoint,
     save_train_checkpoint,
     train_dual,
@@ -24,14 +26,31 @@ from offlang.train import (
 )
 
 
+def one_row(logits, label: Label):
+    return _batch_cross_entropy(np.array([logits], dtype=np.float64), np.array([label_index(label)]))
+
+
+def random_logits(rng, n, scale):
+    return rng.normal(scale=scale, size=(n, 2)), rng.integers(0, 2, size=n)
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss, grad = cross_entropy_loss(np.zeros(2), Label.OFF)
+        loss, grad = one_row([0.0, 0.0], Label.OFF)
         assert loss == pytest.approx(math.log(2), rel=1e-12)
-        assert grad == pytest.approx([-0.5, 0.5])
+        assert grad[0] == pytest.approx([-0.5, 0.5])
+        # A batch averages: the same loss, each row's gradient divided by n.
+        labels = np.array([0, 1, 1, 0])
+        loss, grad = _batch_cross_entropy(np.zeros((4, 2)), labels)
+        assert loss == pytest.approx(math.log(2), rel=1e-12)
+        expected = np.full((4, 2), 0.5)
+        expected[np.arange(4), labels] = -0.5
+        assert grad == pytest.approx(expected / 4)
 
     def test_saturated(self):
-        loss, _ = cross_entropy_loss(np.array([30.0, -30.0]), Label.OFF)
+        loss, _ = one_row([30.0, -30.0], Label.OFF)
+        assert loss < 1e-12
+        loss, _ = _batch_cross_entropy(np.array([[30.0, -30.0], [-30.0, 30.0]]), np.array([0, 1]))
         assert loss < 1e-12
 
     def test_gradient_sums_to_zero(self):
@@ -39,18 +58,24 @@ class TestCrossEntropy:
         for _ in range(100):
             logits = rng.normal(scale=5.0, size=2)
             label = Label.OFF if rng.random() < 0.5 else Label.NOT
-            _, grad = cross_entropy_loss(logits, label)
+            _, grad = one_row(logits, label)
             assert abs(grad.sum()) < 1e-12
+        _, grad = _batch_cross_entropy(*random_logits(rng, 100, 5.0))
+        assert np.abs(grad.sum(axis=1)).max() < 1e-12
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            loss, _ = cross_entropy_loss(rng.normal(scale=10.0, size=2), Label.NOT)
+            loss, _ = one_row(rng.normal(scale=10.0, size=2), Label.NOT)
             assert loss >= 0.0
+        loss, _ = _batch_cross_entropy(*random_logits(rng, 100, 10.0))
+        assert loss >= 0.0
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy_loss(np.array([np.inf, 0.0]), Label.OFF)
+        with np.errstate(invalid="ignore"):
+            loss, _ = one_row([np.inf, 0.0], Label.OFF)
+        with pytest.raises(DivergenceError):
+            _check_divergence(loss, epoch=0, batch=0)
 
 
 class TestAdamStep:
@@ -223,14 +248,6 @@ class TestTrainDual:
             duals.append(sum(p == g for p, g in zip(preds, corpus.labels())) / len(corpus))
         assert abs(median(singles) - median(duals)) <= 0.02
 
-    def test_joint_mode_updates_encoder_copies(self):
-        corpus, vocab, model_a, model_b, config = self.setup_models(seed=4)
-        result = train_dual(corpus, model_a, model_b, vocab, config, joint=True)
-        assert result.model_a.param_bytes() != model_a.param_bytes()
-        assert result.model_b.param_bytes() != model_b.param_bytes()
-        # inputs untouched
-        assert model_a.param_bytes() == self.setup_models(seed=4)[2].param_bytes()
-
 
 class TestPerBatchEncoding:
     """Every forward call gets one batch, padded to that batch's longest real
@@ -260,28 +277,31 @@ class TestPerBatchEncoding:
             (len(corpus) - FEATURE_BATCH, False),
         ]
 
-    @pytest.mark.parametrize("joint", [False, True])
-    def test_train_dual(self, recorder, joint):
+    def test_train_dual(self, recorder):
         corpus, vocab, model, config = trained_toy(epochs=1)
         model_b = EncoderModel.initialize(model.config, vocab.size)
-        train_dual(corpus, model, model_b, vocab, config, joint=joint)
-        recorder.assert_per_batch(config.batch_size if joint else FEATURE_BATCH)
+        train_dual(corpus, model, model_b, vocab, config)
+        recorder.assert_per_batch(FEATURE_BATCH)
+        assert not any(train for *_, train in recorder.calls)
         assert sum(rows for rows, *_ in recorder.calls) == 2 * len(corpus)
 
 
 class TestTrainCheckpoint:
-    def test_round_trip_with_adam(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         corpus, vocab, model, config = trained_toy(seed=7, epochs=1)
         result = train_single(corpus, model, vocab, config)
-        adam = AdamState.init_like({"head.w": result.head.w, "head.b": result.head.b})
-        adam.t = 5
         path = tmp_path / "t.ckpt"
-        save_train_checkpoint(
-            path, result.model, vocab, result.head, adam=adam, meta={"language": "en"}
-        )
+        save_train_checkpoint(path, result.model, vocab, result.head, meta={"language": "en"})
         loaded = load_train_checkpoint(path)
         assert loaded.model.param_bytes() == result.model.param_bytes()
+        assert loaded.vocab.token_to_id == vocab.token_to_id
         assert np.array_equal(loaded.head.w, result.head.w)
-        assert loaded.adam.t == 5
-        assert set(loaded.adam.m) == {"head.w", "head.b"}
-        assert loaded.meta["language"] == "en"
+        assert np.array_equal(loaded.head.b, result.head.b)
+        assert loaded.meta == {"language": "en"}
+
+    def test_missing_head_rejected(self, tmp_path):
+        corpus, vocab, model, _ = trained_toy(seed=7, epochs=1)
+        path = tmp_path / "encoder_only.ckpt"
+        save_checkpoint(path, model, vocab)
+        with pytest.raises(ValueError, match="head.w"):
+            load_train_checkpoint(path)
