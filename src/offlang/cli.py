@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -157,28 +157,56 @@ def _normalized_corpus(corpus: Corpus, config: dict) -> Corpus:
     return Corpus(corpus.language, corpus.split, examples)
 
 
-def _section(config: dict, name: str, allowed: set[str]) -> dict:
-    """A copy of config[name], which must be a mapping whose keys are all in
-    `allowed`."""
+def _section(config: dict, name: str, cls, fixed: tuple[str, ...] = ()) -> dict:
+    """A copy of config[name], which must be a mapping from fields of the
+    dataclass cls, other than those in `fixed`, to values of the field's type:
+    a bool is not an int, an int is a float, and null only where the field
+    allows None."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a mapping, got {section!r}")
-    for key in section:
-        if key not in allowed:
+    types = typing.get_type_hints(cls)
+    for key, value in section.items():
+        if key not in types or key in fixed:
             raise ConfigError(f"unknown config key {name}.{key}")
+        allowed = typing.get_args(types[key]) or (types[key],)
+        if not any(_is_instance(value, t) for t in allowed):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigError(f"config key {name}.{key} must be {expected}, got {value!r}")
     return dict(section)
 
 
+def _is_instance(value, t: type) -> bool:
+    if isinstance(value, bool):
+        return t is bool
+    return isinstance(value, (int, float) if t is float else t)
+
+
+def _build(cls, name: str, **values):
+    """cls(**values), with a value that cls.__post_init__ rejects reported as
+    a ConfigError."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name} settings: {exc}") from exc
+
+
+def _seed(args, config: dict) -> int:
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if not _is_instance(seed, int):
+        raise ConfigError(f"config key seed must be int, got {seed!r}")
+    return seed
+
+
 def _encoder_config(config: dict, seed: int) -> EncoderConfig:
-    section = _section(config, "encoder", {f.name for f in fields(EncoderConfig)})
+    section = _section(config, "encoder", EncoderConfig)
     section.setdefault("init_seed", seed)
-    return EncoderConfig(**section)
+    return _build(EncoderConfig, "encoder", **section)
 
 
 def _train_config(config: dict, args, language: str, seed: int) -> TrainConfig:
     # language and seed come from their own settings, not from this section.
-    allowed = {f.name for f in fields(TrainConfig)} - {"language", "seed"}
-    section = _section(config, "train", allowed)
+    section = _section(config, "train", TrainConfig, fixed=("language", "seed"))
     for key, flag in (
         ("epochs", "epochs"),
         ("batch_size", "batch_size"),
@@ -187,7 +215,7 @@ def _train_config(config: dict, args, language: str, seed: int) -> TrainConfig:
         value = getattr(args, flag, None)
         if value is not None:
             section[key] = value
-    return TrainConfig(language=language, seed=seed, **section)
+    return _build(TrainConfig, "train", language=language, seed=seed, **section)
 
 
 def _make_provider(args, config: dict):
@@ -295,7 +323,7 @@ def cmd_weaklabel(args) -> int:
     config = _load_config(args.config)
     section = config.get("weaklabel", {})
     path = _require_input(args.input or config.get("scored_file"), "scored input file")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     wl_config = WeakLabelConfig(
         hi_threshold=args.hi if args.hi is not None else section.get("hi_threshold", 0.8),
         lo_threshold=args.lo if args.lo is not None else section.get("lo_threshold", 0.2),
@@ -360,7 +388,7 @@ def _load_training_corpus(args, config: dict, language: str) -> tuple[Corpus, Pa
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     language = args.language or config.get("language", "en")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     corpus, path = _load_training_corpus(args, config, language)
     encoder_config = _encoder_config(config, seed)
     train_config = _train_config(config, args, language, seed)
@@ -420,7 +448,7 @@ def cmd_evaluate(args) -> int:
 def cmd_gridsearch(args) -> int:
     config = _load_config(args.config)
     language = args.language or config.get("language", "en")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     corpus, path = _load_training_corpus(args, config, language)
     grid = config.get("grid", {})
     lrs = args.learning_rates or grid.get("learning_rates")
@@ -474,7 +502,7 @@ def cmd_gridsearch(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_config(args.config)
     language = args.language or config.get("language", "en")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     encoder_config = _encoder_config(config, seed)
     train_config = _train_config(config, args, language, seed)
     out = _out_dir(args)

@@ -10,6 +10,7 @@ checked against finite differences.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -445,11 +446,18 @@ def save_checkpoint(
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        fh.write(b"".join(payload_parts))
+    # Written beside the target and renamed over it, so a failed write never
+    # leaves a torn checkpoint at `path`.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(len(header_bytes).to_bytes(8, "little"))
+            fh.write(header_bytes)
+            fh.write(b"".join(payload_parts))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

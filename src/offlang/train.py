@@ -95,6 +95,10 @@ class ClassifierHead:
     def input_dim(self) -> int:
         return self.w.shape[0]
 
+    def predict(self, x: np.ndarray) -> list[Label]:
+        """The argmax label of each row of sentence vectors x (n, input_dim)."""
+        return [index_label(int(i)) for i in (x @ self.w + self.b).argmax(axis=1)]
+
 
 @dataclass
 class AdamState:
@@ -163,7 +167,7 @@ def _check_divergence(loss: float, epoch: int, batch: int) -> None:
         )
 
 
-def _frozen_features(model: EncoderModel, texts: list[str], vocab: Vocabulary) -> np.ndarray:
+def frozen_features(model: EncoderModel, texts: list[str], vocab: Vocabulary) -> np.ndarray:
     """Inference-mode CLS vectors of every text, FEATURE_BATCH rows per forward,
     so the activation cache follows the batch size, not the corpus size."""
     batches = []
@@ -202,55 +206,61 @@ def _fit(
     return trace
 
 
-def _head_step(vectors: np.ndarray, y: np.ndarray, head: ClassifierHead):
-    """Training step for a head on fixed sentence vectors (frozen encoders)."""
+def label_ids(corpus: Corpus) -> np.ndarray:
+    return np.array([label_index(ex.label) for ex in corpus], dtype=np.int64)
+
+
+def train_head(
+    vectors: np.ndarray, y: np.ndarray, config: TrainConfig
+) -> tuple[ClassifierHead, list[float]]:
+    """Train a head on fixed sentence vectors (n, d), as from frozen encoders.
+    Its initialization and shuffling are seeded from config.seed alone, so
+    heads trained in any order on the same vectors are identical."""
+    head = ClassifierHead.initialize(vectors.shape[1], config.seed)
 
     def step(sel):
         x = vectors[sel]
         loss, dlogits = _batch_cross_entropy(x @ head.w + head.b, y[sel])
         return loss, lambda: {"head.w": x.T @ dlogits, "head.b": dlogits.sum(axis=0)}
 
-    return step
-
-
-def _label_ids(corpus: Corpus) -> np.ndarray:
-    return np.array([label_index(ex.label) for ex in corpus], dtype=np.int64)
+    params = {"head.w": head.w, "head.b": head.b}
+    trace = _fit(params, len(y), step, config, np.random.default_rng(config.seed))
+    return head, trace
 
 
 def train_single(
     corpus: Corpus, model: EncoderModel, vocab: Vocabulary, config: TrainConfig
 ) -> TrainResult:
     """Fine-tune encoder + head with cross-entropy over seeded-shuffled
-    mini-batches. Each batch is encoded when it is drawn, padded to its
-    longest row. With freeze_encoders the CLS vectors are computed once in
-    inference mode and only the head is optimized. The input model is not
-    mutated."""
+    mini-batches, each encoded when it is drawn and padded to its longest row.
+    With freeze_encoders only a head is trained (train_head), on CLS vectors
+    computed once in inference mode. The input model is not mutated."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     model = model.copy()
+    texts = corpus.texts()
+    y = label_ids(corpus)
+    if config.freeze_encoders:
+        head, trace = train_head(frozen_features(model, texts, vocab), y, config)
+        return TrainResult(model=model, head=head, loss_trace=trace)
+
     rng = np.random.default_rng(config.seed)
     head = ClassifierHead.initialize(model.config.hidden_size, config.seed)
-    texts = corpus.texts()
-    y = _label_ids(corpus)
     params = {"head.w": head.w, "head.b": head.b}
+    params.update({f"enc.{k}": v for k, v in model.params.items()})
 
-    if config.freeze_encoders:
-        step = _head_step(_frozen_features(model, texts, vocab), y, head)
-    else:
-        params.update({f"enc.{k}": v for k, v in model.params.items()})
+    def step(sel):
+        ids, mask = encode_corpus([texts[i] for i in sel], vocab, model.config.max_len)
+        cls, cache = forward(model, ids, mask, train=True, dropout_rng=rng)
+        loss, dlogits = _batch_cross_entropy(cls @ head.w + head.b, y[sel])
 
-        def step(sel):
-            ids, mask = encode_corpus([texts[i] for i in sel], vocab, model.config.max_len)
-            cls, cache = forward(model, ids, mask, train=True, dropout_rng=rng)
-            loss, dlogits = _batch_cross_entropy(cls @ head.w + head.b, y[sel])
+        def grads():
+            out = {"head.w": cls.T @ dlogits, "head.b": dlogits.sum(axis=0)}
+            enc_grads = backward(model, cache, dlogits @ head.w.T)
+            out.update({f"enc.{k}": g for k, g in enc_grads.items()})
+            return out
 
-            def grads():
-                out = {"head.w": cls.T @ dlogits, "head.b": dlogits.sum(axis=0)}
-                enc_grads = backward(model, cache, dlogits @ head.w.T)
-                out.update({f"enc.{k}": g for k, g in enc_grads.items()})
-                return out
-
-            return loss, grads
+        return loss, grads
 
     trace = _fit(params, len(corpus), step, config, rng)
     return TrainResult(model=model, head=head, loss_trace=trace)
@@ -272,16 +282,9 @@ def train_dual(
         raise ValueError("dual training requires encoders with matching hidden size")
     if model_a.config.max_len != model_b.config.max_len:
         raise ValueError("dual training requires encoders with matching max_len")
-    rng = np.random.default_rng(config.seed)
-    head = ClassifierHead.initialize(2 * model_a.config.hidden_size, config.seed)
     texts = head_corpus.texts()
-    vectors = np.concatenate(
-        [_frozen_features(model_a, texts, vocab), _frozen_features(model_b, texts, vocab)],
-        axis=1,
-    )
-    step = _head_step(vectors, _label_ids(head_corpus), head)
-    trace = _fit({"head.w": head.w, "head.b": head.b}, len(head_corpus), step, config, rng)
-    return head, trace
+    vectors = [frozen_features(model, texts, vocab) for model in (model_a, model_b)]
+    return train_head(np.concatenate(vectors, axis=1), label_ids(head_corpus), config)
 
 
 def save_train_checkpoint(

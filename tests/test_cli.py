@@ -82,10 +82,22 @@ class TestExitCodes:
             ("train: {seed: 4}\n", "train.seed"),
             ("train: 5\n", "'train' must be a mapping"),
             ("encoder: [8]\n", "'encoder' must be a mapping"),
+            ('train: {epochs: "4"}\n', "train.epochs must be int, got '4'"),
+            ('encoder: {dropout: "x"}\n', "encoder.dropout must be float, got 'x'"),
+            ("train: {epochs: true}\n", "train.epochs must be int, got True"),
+            ("train: {epochs: null}\n", "train.epochs must be int, got None"),
+            ("encoder: {hidden_size: null}\n", "encoder.hidden_size must be int, got None"),
+            ("train: {learning_rate: true}\n", "train.learning_rate must be float or null"),
+            ("seed: 4.5\n", "seed must be int, got 4.5"),
+            ("train: {epochs: 0}\n", "invalid train settings: epochs must be >= 1"),
+            ("encoder: {hidden_size: 63}\n", "invalid encoder settings: hidden_size 63"),
         ],
         ids=[
             "malformed_yaml", "unknown_encoder_key", "unknown_train_key",
             "seed_in_train_section", "scalar_section", "list_section",
+            "string_for_int", "string_for_float", "bool_for_int", "null_for_int",
+            "null_for_encoder_int", "bool_for_float", "float_seed", "zero_epochs",
+            "hidden_not_divisible",
         ],
     )
     def test_bad_config_is_config_error(self, workspace, capsys, text, message):
@@ -93,12 +105,27 @@ class TestExitCodes:
         config.write_text(text, encoding="utf-8")
         code = run(
             "train", "--config", config, "--input", workspace / "train.tsv",
-            "--language", "tr", "--epochs", "1", "--out-dir", workspace / "o",
+            "--language", "tr", "--out-dir", workspace / "o",
         )
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
+        assert not (workspace / "o").exists()
+
+    def test_int_for_float_and_null_for_optional_are_accepted(self, workspace, capsys):
+        config = workspace / "ok.yaml"
+        config.write_text(
+            "encoder: {hidden_size: 8, num_layers: 1, num_heads: 2, max_len: 16, dropout: 0}\n"
+            "train: {epochs: 1, batch_size: null, learning_rate: 1}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "train", "--config", config, "--input", workspace / "train.tsv",
+            "--language", "tr", "--out-dir", workspace / "o",
+        )
+        assert code == EXIT_OK
+        assert "trained 1 epochs" in capsys.readouterr().out
 
     def test_directory_input_is_config_error(self, tmp_path, capsys):
         assert run("stats", "--input", tmp_path) == EXIT_CONFIG

@@ -353,6 +353,40 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "b.ckpt", model, vocab)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
+        old, new = tiny_model(0, vocab_size=vocab.size), tiny_model(1, vocab_size=vocab.size)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, old, vocab)
+        saved = path.read_bytes()
+
+        class TornWrites:
+            """A file whose payload write stops half-way with a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) > 1000:
+                    self.fh.write(data[: len(data) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        torn_open = lambda *args, **kwargs: TornWrites(open(*args, **kwargs))  # noqa: E731
+        monkeypatch.setattr(encoder_mod, "open", torn_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, new, vocab)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved
+        assert load_checkpoint(path).model().param_bytes() == old.param_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint")

@@ -1,13 +1,15 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from helpers import ForwardRecorder
 
 import offlang.evaluation as evaluation_mod
+import offlang.train as train_mod
 from offlang.augment import PivotSet
-from offlang.corpus import Corpus, CorpusStats, Label
+from offlang.corpus import Corpus, CorpusStats, Label, LabeledExample
 from offlang.datagen import (
     cue_encoder_config,
     cue_train_config,
@@ -26,7 +28,7 @@ from offlang.evaluation import (
     majority_baseline,
     predict_labels,
 )
-from offlang.train import train_dual, train_single
+from offlang.train import FEATURE_BATCH, train_dual, train_single
 
 OFF, NOT = Label.OFF, Label.NOT
 
@@ -272,6 +274,51 @@ class TestAblationAugmentation:
         assert sum(gold_counts_a) == sum(gold_counts_b)  # same gold distribution
 
 
+ENGLISH_SYSTEMS = ("encoder-A-only", "encoder-B-only", "dual")
+
+
+def flipped(corpus: Corpus, fraction: float, seed: int) -> Corpus:
+    rng = random.Random(seed)
+    swap = {OFF: NOT, NOT: OFF}
+    examples = [
+        LabeledExample(ex.id, ex.text, swap[ex.label] if rng.random() < fraction else ex.label)
+        for ex in corpus
+    ]
+    return Corpus(corpus.language, corpus.split, examples)
+
+
+def english_task(seed: int):
+    """Gold and test sets above FEATURE_BATCH rows, so features take two
+    batches; noisy weak labels, so the B-only arm differs from the others."""
+    gold = flipped(separable_toy_corpus(FEATURE_BATCH + 22, seed=seed), 0.15, seed)
+    weak = flipped(separable_toy_corpus(60, seed=seed + 10), 0.4, seed)
+    test = separable_toy_corpus(FEATURE_BATCH + 12, seed=seed + 20)
+    return gold, weak, test, toy_train_config(seed=seed), toy_encoder_config(seed=seed)
+
+
+def composed_english_ablation(gold, weak, test, config, encoder_config) -> list[dict]:
+    """The ablation as separate calls: a frozen train_single and
+    predict_labels per single arm, train_dual and a dual predict_labels for
+    the dual arm, each extracting its own features."""
+    combined = Corpus("en", "train", list(gold.examples) + list(weak.examples))
+    vocab = build_vocab(combined, encoder_config)
+    encoders = [
+        train_single(corpus, EncoderModel.initialize(encoder_config, vocab.size), vocab, config).model
+        for corpus in (gold, weak)
+    ]
+    frozen = replace(config, freeze_encoders=True)
+    preds = []
+    for model in encoders:
+        result = train_single(gold, model, vocab, frozen)
+        preds.append(predict_labels(result.model, result.head, vocab, test.texts()))
+    head, _ = train_dual(gold, *encoders, vocab, frozen)
+    preds.append(predict_labels(encoders[0], head, vocab, test.texts(), second_model=encoders[1]))
+    return [
+        evaluate(p, test.labels(), system=system, seed=config.seed).to_dict()
+        for p, system in zip(preds, ENGLISH_SYSTEMS)
+    ]
+
+
 class TestAblationEnglish:
     def test_three_labeled_reports(self):
         gold = separable_toy_corpus(60, seed=0)
@@ -283,3 +330,38 @@ class TestAblationEnglish:
         assert [r.system for r in reports] == ["encoder-A-only", "encoder-B-only", "dual"]
         for r in reports:
             assert r.confusion.total == 40
+
+    def test_empty_test_corpus_fails_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the test corpus")
+
+        monkeypatch.setattr(train_mod, "train_single", no_training)
+        gold = separable_toy_corpus(20, seed=0)
+        with pytest.raises(EmptyCorpus):
+            ablation_english(
+                gold, gold, Corpus("en", "test", []), toy_train_config(), toy_encoder_config()
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reports_equal_the_composed_ablation(self, seed):
+        task = english_task(seed)
+        reports = [r.to_dict() for r in ablation_english(*task)]
+        assert reports == composed_english_ablation(*task)
+        assert reports[1]["confusion"] != reports[0]["confusion"]
+
+    def test_each_encoder_runs_once_per_corpus(self, monkeypatch):
+        recorders = {}
+        for module in (train_mod, evaluation_mod):
+            recorders[module] = ForwardRecorder(module.forward)
+            monkeypatch.setattr(module, "forward", recorders[module])
+        gold, weak, test, config, encoder_config = english_task(0)
+        ablation_english(gold, weak, test, config, encoder_config)
+
+        def inference_rows(module):
+            recorders[module].assert_per_batch(FEATURE_BATCH)
+            return [rows for rows, _, _, train in recorders[module].calls if not train]
+
+        assert inference_rows(train_mod) == [FEATURE_BATCH, len(gold) - FEATURE_BATCH] * 2
+        assert inference_rows(evaluation_mod) == [FEATURE_BATCH, len(test) - FEATURE_BATCH] * 2
+        total = sum(inference_rows(train_mod)) + sum(inference_rows(evaluation_mod))
+        assert total == 2 * len(gold) + 2 * len(test)
