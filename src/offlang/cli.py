@@ -157,14 +157,20 @@ def _normalized_corpus(corpus: Corpus, config: dict) -> Corpus:
     return Corpus(corpus.language, corpus.split, examples)
 
 
+def _mapping(config: dict, name: str) -> dict:
+    """config[name] ({} when absent), which must be a mapping."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, got {section!r}")
+    return section
+
+
 def _section(config: dict, name: str, cls, fixed: tuple[str, ...] = ()) -> dict:
     """A copy of config[name], which must be a mapping from fields of the
     dataclass cls, other than those in `fixed`, to values of the field's type:
     a bool is not an int, an int is a float, and null only where the field
     allows None."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping, got {section!r}")
+    section = _mapping(config, name)
     types = typing.get_type_hints(cls)
     for key, value in section.items():
         if key not in types or key in fixed:
@@ -174,6 +180,16 @@ def _section(config: dict, name: str, cls, fixed: tuple[str, ...] = ()) -> dict:
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ConfigError(f"config key {name}.{key} must be {expected}, got {value!r}")
     return dict(section)
+
+
+def _with_flags(section: dict, args, flags: dict[str, str]) -> dict:
+    """section with each key of `flags` replaced by its command-line flag's
+    value, where that flag was given."""
+    for key, flag in flags.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            section[key] = value
+    return section
 
 
 def _is_instance(value, t: type) -> bool:
@@ -206,20 +222,16 @@ def _encoder_config(config: dict, seed: int) -> EncoderConfig:
 
 def _train_config(config: dict, args, language: str, seed: int) -> TrainConfig:
     # language and seed come from their own settings, not from this section.
-    section = _section(config, "train", TrainConfig, fixed=("language", "seed"))
-    for key, flag in (
-        ("epochs", "epochs"),
-        ("batch_size", "batch_size"),
-        ("learning_rate", "learning_rate"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            section[key] = value
+    section = _with_flags(
+        _section(config, "train", TrainConfig, fixed=("language", "seed")),
+        args,
+        {"epochs": "epochs", "batch_size": "batch_size", "learning_rate": "learning_rate"},
+    )
     return _build(TrainConfig, "train", language=language, seed=seed, **section)
 
 
 def _make_provider(args, config: dict):
-    section = config.get("augment", {})
+    section = _mapping(config, "augment")
     name = args.provider or section.get("provider", "mock")
     if name == "mock":
         return MockTaggingProvider()
@@ -237,7 +249,7 @@ def _make_provider(args, config: dict):
 
 
 def _pivot_set(args, config: dict, language: str) -> PivotSet:
-    raw = args.pivots or config.get("augment", {}).get("pivots")
+    raw = args.pivots or _mapping(config, "augment").get("pivots")
     try:
         if raw is None:
             return PivotSet.default_for(language)
@@ -321,17 +333,15 @@ def cmd_normalize(args) -> int:
 
 def cmd_weaklabel(args) -> int:
     config = _load_config(args.config)
-    section = config.get("weaklabel", {})
+    # seed comes from its own setting, not from this section.
+    section = _with_flags(
+        _section(config, "weaklabel", WeakLabelConfig, fixed=("seed",)),
+        args,
+        {"hi_threshold": "hi", "lo_threshold": "lo", "per_class_count": "per_class"},
+    )
     path = _require_input(args.input or config.get("scored_file"), "scored input file")
     seed = _seed(args, config)
-    wl_config = WeakLabelConfig(
-        hi_threshold=args.hi if args.hi is not None else section.get("hi_threshold", 0.8),
-        lo_threshold=args.lo if args.lo is not None else section.get("lo_threshold", 0.2),
-        per_class_count=args.per_class
-        if args.per_class is not None
-        else section.get("per_class_count", 300_000),
-        seed=seed,
-    )
+    wl_config = _build(WeakLabelConfig, "weaklabel", seed=seed, **section)
     scored = load_scored_tsv(path)
     corpus = build_weak_corpus(scored, wl_config)
     out = _out_dir(args)
@@ -344,6 +354,7 @@ def cmd_weaklabel(args) -> int:
 
 def cmd_augment(args) -> int:
     config = _load_config(args.config)
+    section = _mapping(config, "augment")
     path = _require_input(args.input or config.get("train_file"), "input file")
     # Unknown source stays unknown: assuming "en" would wrongly reject the
     # default pivot set for non-English files loaded without a language flag.
@@ -351,9 +362,9 @@ def cmd_augment(args) -> int:
     corpus = load_labeled_tsv(path, language=language)
     pivots = _pivot_set(args, config, language)
     provider = _make_provider(args, config)
-    cache_path = args.cache or config.get("augment", {}).get("cache")
+    cache_path = args.cache or section.get("cache")
     cache = TranslationCache(cache_path) if cache_path else None
-    policy = Policy(args.policy or config.get("augment", {}).get("policy", "fail_fast"))
+    policy = Policy(args.policy or section.get("policy", "fail_fast"))
     try:
         augmented = augment_corpus(corpus, pivots, provider, policy=policy, cache=cache)
     finally:

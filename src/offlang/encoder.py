@@ -224,9 +224,118 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _dropout(x, rate, rng):
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+def _dropout(x, slots, shape, rate, rng):
+    """Inverted dropout of packed rows x. The mask is drawn at the padded
+    `shape` and only its `slots` rows are kept, so the rng stream and each
+    real token's mask do not depend on how many slots are padding."""
+    keep = (rng.random(shape).reshape(-1, shape[-1])[slots] >= rate) / (1.0 - rate)
     return x * keep, keep
+
+
+def _heads(rows, slots, batch, length, num_heads):
+    """Scatter packed rows (n, h) into `slots` of a zero (batch * length, h)
+    grid, viewed as (batch, heads, length, h / heads)."""
+    grid = np.zeros((batch * length, rows.shape[1]))
+    grid[slots] = rows
+    return grid.reshape(batch, length, num_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _unheads(heads, slots):
+    """Gather the `slots` rows of (batch, heads, length, dk) heads as (n, h)."""
+    batch, num_heads, length, dk = heads.shape
+    return heads.transpose(0, 2, 1, 3).reshape(batch * length, num_heads * dk)[slots]
+
+
+def _layer(p, pre, x, real, q_slots, T, num_heads, attn_bias, drop):
+    """One post-norm block over packed rows. x holds the (N, h) rows of the
+    `real` slots of the flat (B * T) batch; every real row gives a key and a
+    value, and the rows at `q_slots` (a subset of `real`) give the queries.
+    Only the query rows go on through the output projection, LayerNorms and
+    FFN, so the result is (len(q_slots), h)."""
+    B = attn_bias.shape[0]
+    q_rows = np.searchsorted(real, q_slots)
+    q_len = int((q_slots % T).max()) + 1
+    q_grid = q_slots // T * q_len + q_slots % T
+    x_q = x[q_rows]
+    qh = _heads(x_q @ p[pre + "attn.wq"] + p[pre + "attn.bq"], q_grid, B, q_len, num_heads)
+    kh = _heads(x @ p[pre + "attn.wk"] + p[pre + "attn.bk"], real, B, T, num_heads)
+    vh = _heads(x @ p[pre + "attn.wv"] + p[pre + "attn.bv"], real, B, T, num_heads)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    probs = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + attn_bias)
+    ctx = _unheads(probs @ vh, q_grid)
+    attn, attn_keep = drop(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"], q_slots)
+    ln1, ln1_cache = _layer_norm(x_q + attn, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+    mid_pre = ln1 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
+    mid, phi = gelu(mid_pre)
+    ffn, ffn_keep = drop(mid @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"], q_slots)
+    out, ln2_cache = _layer_norm(ln1 + ffn, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+    cache = {
+        "x_in": x,
+        "q_rows": q_rows,
+        "q_grid": q_grid,
+        "qh": qh,
+        "kh": kh,
+        "vh": vh,
+        "probs": probs,
+        "ctx": ctx,
+        "attn_keep": attn_keep,
+        "ln1": ln1,
+        "ln1_cache": ln1_cache,
+        "mid_pre": mid_pre,
+        "phi": phi,
+        "ffn_keep": ffn_keep,
+        "ln2_cache": ln2_cache,
+    }
+    return out, cache
+
+
+def _layer_backward(p, pre, c, d_out, real, grads):
+    """Gradients of one _layer given d_out at its query rows: accumulates the
+    layer's parameter gradients into `grads` and returns d x, (N, h)."""
+    B, num_heads, q_len, dk = c["qh"].shape
+    scale = 1.0 / np.sqrt(dk)
+    dres2, dg2, db2_ln = _layer_norm_backward(d_out, c["ln2_cache"])
+    grads[pre + "ln2.gain"] += dg2
+    grads[pre + "ln2.bias"] += db2_ln
+
+    dffn = dres2 if c["ffn_keep"] is None else dres2 * c["ffn_keep"]
+    mid_pre, phi = c["mid_pre"], c["phi"]
+    grads[pre + "ffn.w2"] += (mid_pre * phi).T @ dffn
+    grads[pre + "ffn.b2"] += dffn.sum(axis=0)
+    dmid_pre = (dffn @ p[pre + "ffn.w2"].T) * gelu_grad(mid_pre, phi)
+    grads[pre + "ffn.w1"] += c["ln1"].T @ dmid_pre
+    grads[pre + "ffn.b1"] += dmid_pre.sum(axis=0)
+    dln1 = dres2 + dmid_pre @ p[pre + "ffn.w1"].T
+
+    dres1, dg1, db1_ln = _layer_norm_backward(dln1, c["ln1_cache"])
+    grads[pre + "ln1.gain"] += dg1
+    grads[pre + "ln1.bias"] += db1_ln
+
+    dattn = dres1 if c["attn_keep"] is None else dres1 * c["attn_keep"]
+    grads[pre + "attn.wo"] += c["ctx"].T @ dattn
+    grads[pre + "attn.bo"] += dattn.sum(axis=0)
+    dctx = _heads(dattn @ p[pre + "attn.wo"].T, c["q_grid"], B, q_len, num_heads)
+
+    probs, qh, kh, vh = c["probs"], c["qh"], c["kh"], c["vh"]
+    dprobs = dctx @ vh.transpose(0, 1, 3, 2)
+    dvh = probs.transpose(0, 1, 3, 2) @ dctx
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dqh = dscores @ kh * scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+
+    x_in, q_rows = c["x_in"], c["q_rows"]
+    dx = np.zeros_like(x_in)
+    dx[q_rows] = dres1
+    every = slice(None)
+    for name, rows, dmat in (
+        ("wq", q_rows, _unheads(dqh, c["q_grid"])),
+        ("wk", every, _unheads(dkh, real)),
+        ("wv", every, _unheads(dvh, real)),
+    ):
+        grads[pre + "attn." + name] += x_in[rows].T @ dmat
+        grads[pre + "attn.b" + name[1]] += dmat.sum(axis=0)
+        dx[rows] += dmat @ p[pre + "attn." + name].T
+    return dx
 
 
 def forward(
@@ -240,12 +349,19 @@ def forward(
     """Run the encoder over a (B, T) batch and return (CLS vectors, cache).
 
     T may be anything up to max_len; batches from encode_corpus are padded
-    only to their longest row. Padding positions carry a -1e9 additive
-    attention bias, so they receive exactly zero attention weight and never
-    influence real positions: a row's CLS vector does not depend on how far
-    its batch is padded (up to roundoff). Dropout is applied only when
-    train=True (inverted dropout with the supplied rng), with masks drawn at
-    the batch's (B, T) shape.
+    only to their longest row, and every row's position 0 ([CLS]) must be
+    real. Position-wise work runs on packed rows: the N real tokens
+    (mask != 0) are gathered once into an (N, h) matrix for the embedding
+    sum, projections, LayerNorms, FFN and dropout, and only scores, softmax
+    and context use the padded (B, heads, T, dk) layout, where padding keys
+    carry a -1e9 additive bias and so receive exactly zero attention weight.
+    Inner layers query every real token. The last layer, whose only output
+    is the CLS vector, computes keys and values for every real token but
+    queries, output projection, LayerNorms and FFN for the B [CLS] rows
+    alone, so its attention probabilities are (B, heads, 1, T). A row's CLS
+    vector does not depend on how far its batch is padded (up to roundoff).
+    Dropout is applied only when train=True (inverted dropout with the
+    supplied rng), with masks drawn at the padded (B, T, h) shape.
     """
     cfg = model.config
     p = model.params
@@ -254,131 +370,44 @@ def forward(
         raise ValueError(f"sequence length {T} exceeds max_len {cfg.max_len}")
     if ids.max() >= p["tok_emb"].shape[0]:
         raise ValueError("token id out of vocabulary range")
-    A, h = cfg.num_heads, cfg.hidden_size
-    dk = h // A
+    if not mask[:, 0].all():
+        raise ValueError("position 0 ([CLS]) of every row must be unmasked")
     use_dropout = train and cfg.dropout > 0.0
     if use_dropout and dropout_rng is None:
         raise ValueError("training forward pass with dropout needs a dropout_rng")
 
-    x = p["tok_emb"][ids] + p["pos_emb"][:T]
-    emb_keep = None
-    if use_dropout:
-        x, emb_keep = _dropout(x, cfg.dropout, dropout_rng)
+    def drop(x, slots):
+        if not use_dropout:
+            return x, None
+        return _dropout(x, slots, (B, T, cfg.hidden_size), cfg.dropout, dropout_rng)
 
+    real = np.flatnonzero(mask)  # slots of the real tokens in the flat (B * T) batch
+    x, emb_keep = drop(p["tok_emb"][ids.reshape(-1)[real]] + p["pos_emb"][real % T], real)
     attn_bias = (1.0 - mask)[:, None, None, :] * _MASK_BIAS
-    scale = 1.0 / np.sqrt(dk)
     layers = []
     for i in range(cfg.num_layers):
-        pre = f"layer{i}."
-        x_in = x
-        q = x_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
-        k = x_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]
-        v = x_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]
-        qh = q.reshape(B, T, A, dk).transpose(0, 2, 1, 3)
-        kh = k.reshape(B, T, A, dk).transpose(0, 2, 1, 3)
-        vh = v.reshape(B, T, A, dk).transpose(0, 2, 1, 3)
-        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + attn_bias
-        probs = _softmax(scores)
-        ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, T, h)
-        attn = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
-        attn_keep = None
-        if use_dropout:
-            attn, attn_keep = _dropout(attn, cfg.dropout, dropout_rng)
-        ln1, ln1_cache = _layer_norm(x_in + attn, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        mid_pre = ln1 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
-        mid, phi = gelu(mid_pre)
-        ffn = mid @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
-        ffn_keep = None
-        if use_dropout:
-            ffn, ffn_keep = _dropout(ffn, cfg.dropout, dropout_rng)
-        x, ln2_cache = _layer_norm(ln1 + ffn, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-        layers.append(
-            {
-                "x_in": x_in,
-                "qh": qh,
-                "kh": kh,
-                "vh": vh,
-                "probs": probs,
-                "ctx": ctx,
-                "attn_keep": attn_keep,
-                "ln1": ln1,
-                "ln1_cache": ln1_cache,
-                "mid_pre": mid_pre,
-                "phi": phi,
-                "ffn_keep": ffn_keep,
-                "ln2_cache": ln2_cache,
-            }
-        )
-    cache = {"ids": ids, "T": T, "emb_keep": emb_keep, "layers": layers, "scale": scale}
-    return x[:, 0, :], cache
+        q_slots = real if i < cfg.num_layers - 1 else np.arange(B) * T
+        x, layer_cache = _layer(p, f"layer{i}.", x, real, q_slots, T, cfg.num_heads, attn_bias, drop)
+        layers.append(layer_cache)
+    return x, {"ids": ids, "real": real, "emb_keep": emb_keep, "layers": layers}
 
 
 def backward(model: EncoderModel, cache: dict, d_cls: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of every encoder parameter given the loss gradient at the CLS
-    vectors. Mirrors forward() exactly; dropout masks come from the cache."""
-    cfg = model.config
+    vectors. Mirrors forward() exactly, on the same packed rows: the last
+    layer's gradients enter at the [CLS] rows only, and the embedding
+    gradients are scattered from the real rows. Dropout masks come from the
+    cache."""
     p = model.params
-    ids, T = cache["ids"], cache["T"]
-    B = ids.shape[0]
-    A, h = cfg.num_heads, cfg.hidden_size
-    dk = h // A
-    scale = cache["scale"]
-
+    ids, real = cache["ids"], cache["real"]
     grads = {name: np.zeros_like(tensor) for name, tensor in p.items()}
-    dx = np.zeros((B, T, h))
-    dx[:, 0, :] = d_cls
-
-    def flat(t):
-        return t.reshape(-1, t.shape[-1])
-
-    for i in reversed(range(cfg.num_layers)):
-        pre = f"layer{i}."
-        c = cache["layers"][i]
-        dres2, dg2, db2_ln = _layer_norm_backward(dx, c["ln2_cache"])
-        grads[pre + "ln2.gain"] += dg2
-        grads[pre + "ln2.bias"] += db2_ln
-
-        dffn = dres2 if c["ffn_keep"] is None else dres2 * c["ffn_keep"]
-        dln1 = dres2.copy()
-        mid_pre, phi = c["mid_pre"], c["phi"]
-        grads[pre + "ffn.w2"] += flat(mid_pre * phi).T @ flat(dffn)
-        grads[pre + "ffn.b2"] += dffn.sum(axis=(0, 1))
-        dmid = dffn @ p[pre + "ffn.w2"].T
-        dmid_pre = dmid * gelu_grad(mid_pre, phi)
-        grads[pre + "ffn.w1"] += flat(c["ln1"]).T @ flat(dmid_pre)
-        grads[pre + "ffn.b1"] += dmid_pre.sum(axis=(0, 1))
-        dln1 += dmid_pre @ p[pre + "ffn.w1"].T
-
-        dres1, dg1, db1_ln = _layer_norm_backward(dln1, c["ln1_cache"])
-        grads[pre + "ln1.gain"] += dg1
-        grads[pre + "ln1.bias"] += db1_ln
-
-        dattn = dres1 if c["attn_keep"] is None else dres1 * c["attn_keep"]
-        dx = dres1.copy()
-        grads[pre + "attn.wo"] += flat(c["ctx"]).T @ flat(dattn)
-        grads[pre + "attn.bo"] += dattn.sum(axis=(0, 1))
-        dctx = (dattn @ p[pre + "attn.wo"].T).reshape(B, T, A, dk).transpose(0, 2, 1, 3)
-
-        probs, qh, kh, vh = c["probs"], c["qh"], c["kh"], c["vh"]
-        dprobs = dctx @ vh.transpose(0, 1, 3, 2)
-        dvh = probs.transpose(0, 1, 3, 2) @ dctx
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dqh = dscores @ kh * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
-
-        dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, h)
-        dk_full = dkh.transpose(0, 2, 1, 3).reshape(B, T, h)
-        dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, h)
-        x_in = c["x_in"]
-        for name, dmat in (("wq", dq), ("wk", dk_full), ("wv", dv)):
-            grads[pre + "attn." + name] += flat(x_in).T @ flat(dmat)
-            grads[pre + "attn.b" + name[1]] += dmat.sum(axis=(0, 1))
-            dx += dmat @ p[pre + "attn." + name].T
-
+    dx = d_cls
+    for i in reversed(range(model.config.num_layers)):
+        dx = _layer_backward(p, f"layer{i}.", cache["layers"][i], dx, real, grads)
     if cache["emb_keep"] is not None:
         dx = dx * cache["emb_keep"]
-    np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"][:T] += dx.sum(axis=0)
+    np.add.at(grads["tok_emb"], ids.reshape(-1)[real], dx)
+    np.add.at(grads["pos_emb"], real % ids.shape[1], dx)
     return grads
 
 

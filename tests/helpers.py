@@ -18,12 +18,14 @@ GRADCHECK_VOCAB_SIZE = 12
 ZERO_GRADIENT_FLOOR = 1e-6
 
 
-def random_gradcheck_model(seed: int) -> tuple[EncoderModel, ClassifierHead]:
+def random_gradcheck_model(
+    seed: int, config: EncoderConfig = GRADCHECK_CONFIG
+) -> tuple[EncoderModel, ClassifierHead]:
     """Tiny model with O(1)-scale random parameters. The default 0.02-sigma
     initialization leaves attention-score gradients near 1e-9, where central
     differences are dominated by float64 roundoff; re-drawing parameters at
     unit scale checks the same backward code with measurable gradients."""
-    model = EncoderModel.initialize(GRADCHECK_CONFIG, GRADCHECK_VOCAB_SIZE)
+    model = EncoderModel.initialize(config, GRADCHECK_VOCAB_SIZE)
     rng = np.random.default_rng(seed)
     for name, tensor in model.params.items():
         if name.endswith(".gain"):
@@ -31,14 +33,16 @@ def random_gradcheck_model(seed: int) -> tuple[EncoderModel, ClassifierHead]:
         else:
             model.params[name] = 0.6 * rng.standard_normal(tensor.shape)
     head = ClassifierHead(
-        w=0.6 * rng.standard_normal((GRADCHECK_CONFIG.hidden_size, 2)),
+        w=0.6 * rng.standard_normal((config.hidden_size, 2)),
         b=0.1 * rng.standard_normal(2),
     )
     return model, head
 
 
-def random_batch(rng: np.random.Generator, batch_size: int = 4):
-    T = GRADCHECK_CONFIG.max_len
+def random_batch(
+    rng: np.random.Generator, batch_size: int = 4, config: EncoderConfig = GRADCHECK_CONFIG
+):
+    T = config.max_len
     ids = rng.integers(0, GRADCHECK_VOCAB_SIZE, size=(batch_size, T))
     ids[:, 0] = 2  # CLS
     mask = np.zeros((batch_size, T))

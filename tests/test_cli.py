@@ -113,6 +113,35 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not (workspace / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("weaklabel", 'weaklabel: {per_class_count: "1"}\n',
+             "weaklabel.per_class_count must be int, got '1'"),
+            ("weaklabel", "weaklabel: 5\n", "'weaklabel' must be a mapping"),
+            ("weaklabel", "weaklabel: {seed: 1}\n", "unknown config key weaklabel.seed"),
+            ("weaklabel", "weaklabel: {hi_threshold: 0.1}\n",
+             "invalid weaklabel settings: thresholds must satisfy"),
+            ("augment", "augment: [1]\n", "'augment' must be a mapping"),
+        ],
+        ids=["string_for_int", "scalar_section", "seed_in_section", "bad_thresholds", "list_augment"],
+    )
+    def test_bad_stage_section_is_config_error(self, tmp_path, capsys, command, text, message):
+        (tmp_path / "scored.tsv").write_text("s1\tsome tweet\t0.9\n", encoding="utf-8")
+        save_labeled_tsv(mini_corpus("tr", 8, seed=1), tmp_path / "train.tsv")
+        config = tmp_path / "bad.yaml"
+        config.write_text(text, encoding="utf-8")
+        inputs = {"weaklabel": "scored.tsv", "augment": "train.tsv"}
+        code = run(
+            command, "--config", config, "--input", tmp_path / inputs[command],
+            "--language", "tr", "--out-dir", tmp_path / "o",
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_int_for_float_and_null_for_optional_are_accepted(self, workspace, capsys):
         config = workspace / "ok.yaml"
         config.write_text(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from helpers import ZERO_GRADIENT_FLOOR
@@ -101,9 +103,9 @@ class TestEncodeCorpus:
         assert mask[0].sum() == 3
 
 
-def tiny_model(seed=0, vocab_size=12):
+def tiny_model(seed=0, vocab_size=12, num_layers=1):
     config = EncoderConfig(
-        hidden_size=8, num_layers=1, num_heads=2, ffn_size=16,
+        hidden_size=8, num_layers=num_layers, num_heads=2, ffn_size=16,
         max_len=8, vocab_cap=50, dropout=0.0, init_seed=seed,
     )
     return EncoderModel.initialize(config, vocab_size)
@@ -144,6 +146,11 @@ class TestForward:
         for probs in attention_probs(model, ids, mask):
             sums = probs.sum(axis=-1)
             assert np.allclose(sums, 1.0, atol=1e-6)
+        # Two layers: the first queries all 6 real positions, the last [CLS] only.
+        inner, last = attention_probs(tiny_model(num_layers=2), ids, mask)
+        assert inner.shape == (3, 2, 6, 8) and last.shape == (3, 2, 1, 8)
+        for probs in (inner, last):
+            assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_pad_positions_get_zero_attention(self):
         model = tiny_model()
@@ -152,6 +159,10 @@ class TestForward:
         mask = np.ones((2, 8))
         mask[:, 5:] = 0.0
         for probs in attention_probs(model, ids, mask):
+            assert probs[:, :, :, 5:].max() < 1e-9
+        inner, last = attention_probs(tiny_model(num_layers=2), ids, mask)
+        assert inner.shape[2] == 5
+        for probs in (inner, last):
             assert probs[:, :, :, 5:].max() < 1e-9
 
     def test_deterministic_inference(self):
@@ -205,6 +216,155 @@ class TestTrimmedBatch:
                 continue
             err = np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
             assert err < 1e-12, f"{name}: {err}"
+
+
+def padded_forward(model, ids, mask, *, train=False, dropout_rng=None):
+    """Oracle: the encoder before packing, every op on all B * T slots and a
+    full-query last layer. Masks are drawn at (B, T, h), as forward draws them."""
+    cfg, p = model.config, model.params
+    B, T = ids.shape
+    A, h = cfg.num_heads, cfg.hidden_size
+    dk = h // A
+    use_dropout = train and cfg.dropout > 0.0
+
+    def drop(x):
+        if not use_dropout:
+            return x, None
+        keep = (dropout_rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+        return x * keep, keep
+
+    x, emb_keep = drop(p["tok_emb"][ids] + p["pos_emb"][:T])
+    attn_bias = (1.0 - mask)[:, None, None, :] * encoder_mod._MASK_BIAS
+    scale = 1.0 / np.sqrt(dk)
+    layers = []
+    for i in range(cfg.num_layers):
+        pre = f"layer{i}."
+        x_in = x
+        qh, kh, vh = (
+            (x_in @ p[pre + "attn.w" + n] + p[pre + "attn.b" + n])
+            .reshape(B, T, A, dk)
+            .transpose(0, 2, 1, 3)
+            for n in "qkv"
+        )
+        probs = encoder_mod._softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + attn_bias)
+        ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, T, h)
+        attn, attn_keep = drop(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"])
+        ln1, ln1_cache = encoder_mod._layer_norm(x_in + attn, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        mid_pre = ln1 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
+        mid, phi = gelu(mid_pre)
+        ffn, ffn_keep = drop(mid @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"])
+        x, ln2_cache = encoder_mod._layer_norm(ln1 + ffn, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        layers.append(dict(
+            x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, attn_keep=attn_keep,
+            ln1=ln1, ln1_cache=ln1_cache, mid_pre=mid_pre, phi=phi, ffn_keep=ffn_keep,
+            ln2_cache=ln2_cache,
+        ))
+    return x[:, 0, :], {"ids": ids, "emb_keep": emb_keep, "layers": layers, "scale": scale}
+
+
+def padded_backward(model, cache, d_cls):
+    """Oracle: the backward pass of padded_forward, over all B * T slots."""
+    cfg, p = model.config, model.params
+    ids, scale = cache["ids"], cache["scale"]
+    B, T = ids.shape
+    A, h = cfg.num_heads, cfg.hidden_size
+    layer_norm_backward = encoder_mod._layer_norm_backward
+    grads = {name: np.zeros_like(tensor) for name, tensor in p.items()}
+    dx = np.zeros((B, T, h))
+    dx[:, 0, :] = d_cls
+
+    def flat(t):
+        return t.reshape(-1, t.shape[-1])
+
+    for i in reversed(range(cfg.num_layers)):
+        pre = f"layer{i}."
+        c = cache["layers"][i]
+        dres2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = layer_norm_backward(dx, c["ln2_cache"])
+        dffn = dres2 if c["ffn_keep"] is None else dres2 * c["ffn_keep"]
+        mid_pre, phi = c["mid_pre"], c["phi"]
+        grads[pre + "ffn.w2"] = flat(mid_pre * phi).T @ flat(dffn)
+        grads[pre + "ffn.b2"] = dffn.sum(axis=(0, 1))
+        dmid_pre = (dffn @ p[pre + "ffn.w2"].T) * gelu_grad(mid_pre, phi)
+        grads[pre + "ffn.w1"] = flat(c["ln1"]).T @ flat(dmid_pre)
+        grads[pre + "ffn.b1"] = dmid_pre.sum(axis=(0, 1))
+        dln1 = dres2 + dmid_pre @ p[pre + "ffn.w1"].T
+        dres1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = layer_norm_backward(dln1, c["ln1_cache"])
+        dattn = dres1 if c["attn_keep"] is None else dres1 * c["attn_keep"]
+        grads[pre + "attn.wo"] = flat(c["ctx"]).T @ flat(dattn)
+        grads[pre + "attn.bo"] = dattn.sum(axis=(0, 1))
+        dctx = (dattn @ p[pre + "attn.wo"].T).reshape(B, T, A, -1).transpose(0, 2, 1, 3)
+        probs, qh, kh, vh = c["probs"], c["qh"], c["kh"], c["vh"]
+        dprobs = dctx @ vh.transpose(0, 1, 3, 2)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+        dheads = {
+            "q": dscores @ kh * scale,
+            "k": dscores.transpose(0, 1, 3, 2) @ qh * scale,
+            "v": probs.transpose(0, 1, 3, 2) @ dctx,
+        }
+        dx = dres1.copy()
+        for n, dh in dheads.items():
+            dmat = dh.transpose(0, 2, 1, 3).reshape(B, T, h)
+            grads[pre + "attn.w" + n] = flat(c["x_in"]).T @ flat(dmat)
+            grads[pre + "attn.b" + n] = dmat.sum(axis=(0, 1))
+            dx += dmat @ p[pre + "attn.w" + n].T
+    if cache["emb_keep"] is not None:
+        dx = dx * cache["emb_keep"]
+    np.add.at(grads["tok_emb"], ids, dx)
+    grads["pos_emb"][:T] += dx.sum(axis=0)
+    return grads
+
+
+class TestPackedMatchesPadded:
+    """forward/backward on packed real rows with a [CLS]-query last layer
+    compute what the padded encoder computes, up to float64 roundoff, and
+    draw the same dropout masks from the same rng stream."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 5),
+        length=st.integers(1, 9),
+        num_layers=st.sampled_from([1, 2, 3]),
+        dropout=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_cls_gradients_and_rng_match_padded_oracle(
+        self, batch, length, num_layers, dropout, seed, data
+    ):
+        # The encoder's own initialization. At O(1) parameter scale a softmax
+        # can saturate, and a tensor whose gradient nearly cancels then
+        # differs by more than 1e-12 of its own norm on both sides alike.
+        config = EncoderConfig(
+            hidden_size=8, num_layers=num_layers, num_heads=2, ffn_size=16,
+            max_len=9, vocab_cap=50, dropout=dropout, init_seed=seed,
+        )
+        model = EncoderModel.initialize(config, 12)
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, 12, size=(batch, length))
+        ids[:, 0] = CLS_ID
+        lengths = data.draw(st.lists(st.integers(1, length), min_size=batch, max_size=batch))
+        mask = (np.arange(length) < np.array(lengths)[:, None]).astype(np.float64)
+        d_cls = rng.standard_normal((batch, config.hidden_size))
+
+        packed_rng, padded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        cls, cache = forward(model, ids, mask, train=True, dropout_rng=packed_rng)
+        ref_cls, ref_cache = padded_forward(model, ids, mask, train=True, dropout_rng=padded_rng)
+        assert packed_rng.random() == padded_rng.random()
+        assert np.abs(cls - ref_cls).max() < 1e-12
+
+        grads = backward(model, cache, d_cls)
+        ref_grads = padded_backward(model, ref_cache, d_cls)
+        assert set(grads) == set(ref_grads) == set(model.params)
+        for name in model.params:
+            a, b = np.linalg.norm(grads[name]), np.linalg.norm(ref_grads[name])
+            if name.endswith("attn.bk"):
+                # Structurally zero: the key bias cancels in the softmax.
+                assert max(a, b) < ZERO_GRADIENT_FLOOR
+                continue
+            # <=, so that a structurally zero gradient (wq and bq when every
+            # row is [CLS] alone) passes when both sides are exactly zero.
+            diff = np.linalg.norm(grads[name] - ref_grads[name])
+            assert diff <= 1e-12 * max(a, b), f"{name}: {diff} vs norm {max(a, b)}"
 
 
 def _two_erf_gelu(x):

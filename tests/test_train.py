@@ -1,9 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import ForwardRecorder, gradient_check, random_batch, random_gradcheck_model
+from helpers import (
+    GRADCHECK_CONFIG,
+    ForwardRecorder,
+    gradient_check,
+    random_batch,
+    random_gradcheck_model,
+)
 
 import offlang.train as train_mod
 from offlang.corpus import Corpus, Label
@@ -143,6 +150,19 @@ class TestGradients:
         assert set(errors) == set(model.params) | {"head.w", "head.b"}
         for name, err in errors.items():
             assert err < 1e-4, f"{name}: {err}"
+
+    def test_two_layers_match_finite_differences(self):
+        # With one layer, the only layer is the [CLS]-query last layer; a
+        # second layer also checks a layer that queries every real token.
+        config = replace(GRADCHECK_CONFIG, num_layers=2)
+        rng = np.random.default_rng(200)
+        for seed in range(3):
+            model, head = random_gradcheck_model(seed, config)
+            ids, mask, y = random_batch(rng, config=config)
+            errors = gradient_check(model, head, ids, mask, y)
+            assert set(errors) == set(model.params) | {"head.w", "head.b"}
+            for name, err in errors.items():
+                assert err < 1e-4, f"seed {seed} tensor {name}: {err:.2e}"
 
 
 def trained_toy(seed=0, epochs=4, dropout=0.1):
