@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,7 @@ logger = logging.getLogger(__name__)
 SEPARATOR = "[SEP]"
 DEFAULT_PIVOTS = ("en", "fr", "de")
 ENGLISH_SOURCE_PIVOTS = ("fr", "de", "es")
+IO_WORKERS = 4  # threads that augment_corpus gives a provider doing I/O
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,8 @@ class HttpProvider:
     backoff before raising ProviderUnavailable.
     """
 
+    does_io = True  # augment_corpus overlaps its requests on a thread pool
+
     def __init__(
         self,
         endpoint: str,
@@ -185,21 +189,14 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)  # a backslash and the character it escapes
+
+
 def _unescape(text: str) -> str:
     if "\\" not in text:
         return text
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), text)
 
 
 def _parse_translations(path: str | Path, text: str) -> dict[tuple[str, str, str], str]:
@@ -359,12 +356,13 @@ def augment_corpus(
     *,
     policy: Policy = Policy.SKIP_ON_ERROR,
     cache: TranslationCache | None = None,
-    max_workers: int = 4,
 ) -> Corpus:
     """Original samples plus their per-pivot concatenations; with every
     translation succeeding the result has (1 + #pivots) * n examples and the
     class ratio preserved exactly. Output order is (original index, pivot
-    index) regardless of translation completion order.
+    index). A provider that declares `does_io = True` (HttpProvider) is called
+    from IO_WORKERS threads; any other runs in the calling thread, so a cache
+    journal gains its entries in that same input order.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot augment an empty corpus")
@@ -375,8 +373,8 @@ def augment_corpus(
             example, pivots, provider, corpus.language, cache=cache, policy=policy
         )
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    if getattr(provider, "does_io", False):
+        with ThreadPoolExecutor(max_workers=IO_WORKERS) as pool:
             augmented_lists = list(pool.map(work, corpus.examples))
     else:
         augmented_lists = [work(ex) for ex in corpus.examples]

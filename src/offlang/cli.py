@@ -14,7 +14,9 @@ import hashlib
 import json
 import os
 import sys
+import types
 import typing
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -168,16 +170,17 @@ def _mapping(config: dict, name: str) -> dict:
 def _section(config: dict, name: str, cls, fixed: tuple[str, ...] = ()) -> dict:
     """A copy of config[name], which must be a mapping from fields of the
     dataclass cls, other than those in `fixed`, to values of the field's type:
-    a bool is not an int, an int is a float, and null only where the field
-    allows None."""
+    a bool is not an int, an int is a float, a list[t] holds only t, and null
+    only where the field allows None."""
     section = _mapping(config, name)
-    types = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls)
     for key, value in section.items():
-        if key not in types or key in fixed:
+        if key not in hints or key in fixed:
             raise ConfigError(f"unknown config key {name}.{key}")
-        allowed = typing.get_args(types[key]) or (types[key],)
+        hint = hints[key]
+        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
         if not any(_is_instance(value, t) for t in allowed):
-            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            expected = " or ".join(_type_name(t) for t in allowed)
             raise ConfigError(f"config key {name}.{key} must be {expected}, got {value!r}")
     return dict(section)
 
@@ -193,9 +196,20 @@ def _with_flags(section: dict, args, flags: dict[str, str]) -> dict:
 
 
 def _is_instance(value, t: type) -> bool:
+    if typing.get_origin(t) is list:
+        (item,) = typing.get_args(t)
+        return isinstance(value, list) and all(_is_instance(v, item) for v in value)
     if isinstance(value, bool):
         return t is bool
     return isinstance(value, (int, float) if t is float else t)
+
+
+def _type_name(t) -> str:
+    if t is type(None):
+        return "null"
+    if typing.get_origin(t) is list:
+        return f"a list of {_type_name(typing.get_args(t)[0])}"
+    return t.__name__
 
 
 def _build(cls, name: str, **values):
@@ -230,26 +244,39 @@ def _train_config(config: dict, args, language: str, seed: int) -> TrainConfig:
     return _build(TrainConfig, "train", language=language, seed=seed, **section)
 
 
-def _make_provider(args, config: dict):
-    section = _mapping(config, "augment")
-    name = args.provider or section.get("provider", "mock")
-    if name == "mock":
+@dataclass(frozen=True)
+class AugmentConfig:
+    """The `augment` config section; a command-line flag of the same name
+    overrides each key."""
+
+    provider: str = "mock"
+    translations: str | None = None
+    endpoint: str | None = None
+    pivots: str | list[str] | None = None  # "fr,de" or [fr, de]
+    policy: str = "fail_fast"
+    cache: str | None = None
+
+
+def _augment_config(config: dict, args) -> AugmentConfig:
+    section = _section(config, "augment", AugmentConfig)
+    flags = {f.name: f.name for f in fields(AugmentConfig)}
+    return AugmentConfig(**_with_flags(section, args, flags))
+
+
+def _make_provider(settings: AugmentConfig):
+    if settings.provider == "mock":
         return MockTaggingProvider()
-    if name == "file":
-        path = _require_input(
-            args.translations or section.get("translations"), "translations file"
-        )
-        return MappingProvider.from_tsv(path)
-    if name == "http":
-        endpoint = args.endpoint or section.get("endpoint")
-        if not endpoint:
+    if settings.provider == "file":
+        return MappingProvider.from_tsv(_require_input(settings.translations, "translations file"))
+    if settings.provider == "http":
+        if not settings.endpoint:
             raise ConfigError("http provider needs --endpoint")
-        return HttpProvider(endpoint, api_key=os.environ.get(API_KEY_ENV))
-    raise ConfigError(f"unknown provider {name!r}")
+        return HttpProvider(settings.endpoint, api_key=os.environ.get(API_KEY_ENV))
+    raise ConfigError(f"unknown provider {settings.provider!r}")
 
 
-def _pivot_set(args, config: dict, language: str) -> PivotSet:
-    raw = args.pivots or _mapping(config, "augment").get("pivots")
+def _pivot_set(settings: AugmentConfig, language: str) -> PivotSet:
+    raw = settings.pivots
     try:
         if raw is None:
             return PivotSet.default_for(language)
@@ -258,6 +285,16 @@ def _pivot_set(args, config: dict, language: str) -> PivotSet:
         return PivotSet(tuple(raw)).validated_for(language)
     except InvalidPivots as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _policy(settings: AugmentConfig) -> Policy:
+    try:
+        return Policy(settings.policy)
+    except ValueError:
+        choices = ", ".join(p.value for p in Policy)
+        raise ConfigError(
+            f"config key augment.policy must be one of {choices}, got {settings.policy!r}"
+        ) from None
 
 
 def emit_report_table(reports: list[EvalReport], layout: str) -> str:
@@ -354,17 +391,16 @@ def cmd_weaklabel(args) -> int:
 
 def cmd_augment(args) -> int:
     config = _load_config(args.config)
-    section = _mapping(config, "augment")
+    settings = _augment_config(config, args)
     path = _require_input(args.input or config.get("train_file"), "input file")
     # Unknown source stays unknown: assuming "en" would wrongly reject the
     # default pivot set for non-English files loaded without a language flag.
     language = args.language or config.get("language", "und")
     corpus = load_labeled_tsv(path, language=language)
-    pivots = _pivot_set(args, config, language)
-    provider = _make_provider(args, config)
-    cache_path = args.cache or section.get("cache")
-    cache = TranslationCache(cache_path) if cache_path else None
-    policy = Policy(args.policy or section.get("policy", "fail_fast"))
+    pivots = _pivot_set(settings, language)
+    provider = _make_provider(settings)
+    policy = _policy(settings)
+    cache = TranslationCache(settings.cache) if settings.cache else None
     try:
         augmented = augment_corpus(corpus, pivots, provider, policy=policy, cache=cache)
     finally:
@@ -520,8 +556,9 @@ def cmd_ablate(args) -> int:
 
     if args.mode == "augmentation":
         corpus, path = _load_training_corpus(args, config, language)
-        pivots = _pivot_set(args, config, language)
-        provider = _make_provider(args, config)
+        settings = _augment_config(config, args)
+        pivots = _pivot_set(settings, language)
+        provider = _make_provider(settings)
         holdout = args.holdout if args.holdout is not None else config.get("holdout_fraction", 0.2)
         reports = ablation_augmentation(
             corpus, pivots, provider, train_config, encoder_config, holdout_fraction=holdout

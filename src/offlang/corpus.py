@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -96,22 +97,38 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     return CorpusStats(off_count=off, not_count=len(corpus) - off)
 
 
+# What errors="surrogateescape" decodes a byte to when it is not part of valid
+# UTF-8; valid UTF-8 never decodes to these lone surrogates.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _read_rows(path: str | Path, min_fields: int):
     """Yield (line_number, fields) for every data row, skipping a header."""
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if line_no == 1 and fields[0] == "id":
-                continue
-            if len(fields) < min_fields:
-                raise MalformedRow(
-                    line_no, f"expected >= {min_fields} tab-separated fields, got {len(fields)}"
-                )
-            yield line_no, fields
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if line_no == 1 and fields[0] == "id":
+                    continue
+                if len(fields) < min_fields:
+                    raise MalformedRow(
+                        line_no,
+                        f"expected >= {min_fields} tab-separated fields, got {len(fields)}",
+                    )
+                yield line_no, fields
+        except UnicodeDecodeError:
+            raise MalformedRow(_first_undecodable_line(path), "not valid UTF-8", path) from None
+
+
+def _first_undecodable_line(path: Path) -> int:
+    """The number, as _read_rows counts lines, of the first line of path that
+    is not valid UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        return next(n for n, line in enumerate(fh, start=1) if _ESCAPED_BYTE.search(line))
 
 
 def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train") -> Corpus:

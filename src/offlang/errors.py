@@ -6,12 +6,15 @@ class OffLangError(Exception):
 
 
 class MalformedRow(OffLangError):
-    """A TSV row that cannot be parsed (wrong arity, empty text, bad number)."""
+    """A TSV row that cannot be parsed (wrong arity, empty text, bad number,
+    bytes that are not UTF-8)."""
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, line: int, reason: str, path=None):
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}line {line}: {reason}")
         self.line = line
         self.reason = reason
+        self.path = path
 
 
 class UnknownLabel(MalformedRow):

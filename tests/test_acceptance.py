@@ -134,7 +134,7 @@ def test_criterion_03_augmentation_cardinality_and_labels():
             ]
             rng.shuffle(examples)
             corpus = Corpus("tr", "train", examples)
-            out = augment_corpus(corpus, pivots, provider, max_workers=1)
+            out = augment_corpus(corpus, pivots, provider)
             assert len(out) == 4 * len(corpus)
             stats = corpus_stats(out)
             assert (stats.off_count, stats.not_count) == (4 * n_off, 4 * n_not)

@@ -1,6 +1,8 @@
 import logging
 import random
 import re
+import threading
+import time
 
 import pytest
 
@@ -48,6 +50,24 @@ class FlakyProvider:
         if target == self.bad_pivot:
             raise TranslationNotFound(f"no {target}")
         return f"{target}|{text}"
+
+    def supports(self, source, target):
+        return True
+
+
+class SlowIOProvider:
+    """Declares I/O like HttpProvider. The first row's calls are slow, so on a
+    pool a later row finishes first; each call records the thread it ran on."""
+
+    does_io = True
+
+    def __init__(self):
+        self.threads = set()
+
+    def translate(self, text, source, target):
+        self.threads.add(threading.get_ident())
+        time.sleep(0.02 if text.endswith(" 0") else 0.0)
+        return f"{target}:{text}"
 
     def supports(self, source, target):
         return True
@@ -175,20 +195,20 @@ class TestTranslate:
         assert out == "en⟦iyi günler⟧"
 
     def test_cache_prevents_second_call(self, tmp_path):
-        cache = TranslationCache(tmp_path / "cache.tsv")
         provider = MockTaggingProvider()
-        first = translate(provider, "iyi günler", "tr", "en", cache=cache)
-        second = translate(provider, "iyi günler", "tr", "en", cache=cache)
+        with TranslationCache(tmp_path / "cache.tsv") as cache:
+            first = translate(provider, "iyi günler", "tr", "en", cache=cache)
+            second = translate(provider, "iyi günler", "tr", "en", cache=cache)
         assert first == second
         assert provider.calls == 1
 
     def test_cache_survives_restart(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = TranslationCache(path)
-        translate(MockTaggingProvider(), "text with\ttab", "tr", "en", cache=cache)
-        reloaded = TranslationCache(path)
+        with TranslationCache(path) as cache:
+            translate(MockTaggingProvider(), "text with\ttab", "tr", "en", cache=cache)
         provider = MockTaggingProvider()
-        translate(provider, "text with\ttab", "tr", "en", cache=reloaded)
+        with TranslationCache(path) as reloaded:
+            translate(provider, "text with\ttab", "tr", "en", cache=reloaded)
         assert provider.calls == 0
 
     def test_empty_translation_rejected(self):
@@ -362,8 +382,23 @@ class TestAugmentCorpus:
 
     def test_output_order_by_original_then_pivot(self):
         corpus = make_corpus(2, 0)
-        out = augment_corpus(corpus, PivotSet(), MockTaggingProvider(), max_workers=4)
+        provider = SlowIOProvider()
+        out = augment_corpus(corpus, PivotSet(), provider)
         assert [ex.id for ex in out] == ["e0", "e0-en", "e0-fr", "e0-de", "e1", "e1-en", "e1-fr", "e1-de"]
+        assert threading.get_ident() not in provider.threads
+
+    def test_in_process_provider_runs_in_calling_thread(self, monkeypatch):
+        threads = set()
+        translate_mock = MockTaggingProvider.translate
+
+        def recording_translate(self, text, source, target):
+            threads.add(threading.get_ident())
+            return translate_mock(self, text, source, target)
+
+        monkeypatch.setattr(MockTaggingProvider, "translate", recording_translate)
+        out = augment_corpus(make_corpus(3, 3), PivotSet(), MockTaggingProvider())
+        assert len(out) == 24
+        assert threads == {threading.get_ident()}
 
     def test_identity_provider_still_distinct(self):
         class IdentityProvider:
@@ -381,12 +416,12 @@ class TestAugmentCorpus:
             assert texts.count(orig.text) == 1  # separator keeps augmented distinct
 
     def test_second_pass_uses_cache_only(self, tmp_path):
-        cache = TranslationCache(tmp_path / "cache.tsv")
         corpus = make_corpus(4, 4)
         provider = MockTaggingProvider()
-        first = augment_corpus(corpus, PivotSet(), provider, cache=cache)
-        calls_after_first = provider.calls
-        second = augment_corpus(corpus, PivotSet(), provider, cache=cache)
+        with TranslationCache(tmp_path / "cache.tsv") as cache:
+            first = augment_corpus(corpus, PivotSet(), provider, cache=cache)
+            calls_after_first = provider.calls
+            second = augment_corpus(corpus, PivotSet(), provider, cache=cache)
         assert provider.calls == calls_after_first
         assert [ex.text for ex in first] == [ex.text for ex in second]
 

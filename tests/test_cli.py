@@ -123,8 +123,21 @@ class TestExitCodes:
             ("weaklabel", "weaklabel: {hi_threshold: 0.1}\n",
              "invalid weaklabel settings: thresholds must satisfy"),
             ("augment", "augment: [1]\n", "'augment' must be a mapping"),
+            ("augment", "augment: {pivots: 5}\n",
+             "augment.pivots must be str or a list of str or null, got 5"),
+            ("augment", "augment: {pivots: [fr, 3]}\n",
+             "augment.pivots must be str or a list of str or null, got ['fr', 3]"),
+            ("augment", "augment: {cache: 5}\n", "augment.cache must be str or null, got 5"),
+            ("augment", "augment: {policy: 5}\n", "augment.policy must be str, got 5"),
+            ("augment", "augment: {policy: later}\n",
+             "augment.policy must be one of fail_fast, skip_on_error, got 'later'"),
+            ("augment", "augment: {workers: 2}\n", "unknown config key augment.workers"),
         ],
-        ids=["string_for_int", "scalar_section", "seed_in_section", "bad_thresholds", "list_augment"],
+        ids=[
+            "string_for_int", "scalar_section", "seed_in_section", "bad_thresholds", "list_augment",
+            "int_pivots", "int_in_pivot_list", "int_cache", "int_policy", "unknown_policy",
+            "unknown_augment_key",
+        ],
     )
     def test_bad_stage_section_is_config_error(self, tmp_path, capsys, command, text, message):
         (tmp_path / "scored.tsv").write_text("s1\tsome tweet\t0.9\n", encoding="utf-8")
@@ -160,6 +173,14 @@ class TestExitCodes:
         assert run("stats", "--input", tmp_path) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "is a directory" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("command", ["stats", "weaklabel"])
+    def test_undecodable_tsv_is_runtime_failure(self, tmp_path, capsys, command):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(b"1\tgood\t0.5\n2\tb\xffd\t0.5\n")
+        code = run(command, "--input", path, "--out-dir", tmp_path / "o")
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {path}: line 2: not valid UTF-8\n"
 
     def test_checkpoint_without_head_is_runtime_failure(self, workspace, capsys):
         corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
@@ -215,6 +236,22 @@ class TestAugmentCommand:
         assert len(lines) == 20
         capsys.readouterr()
 
+    def test_config_section_sets_pivots_policy_and_cache(self, tmp_path, capsys):
+        (tmp_path / "toy.tsv").write_text("1\tmerhaba\tNOT\n2\tkötü\tOFF\n", encoding="utf-8")
+        (tmp_path / "run.yaml").write_text(
+            f"augment: {{pivots: [fr, de], policy: skip_on_error, cache: {tmp_path / 'c.tsv'}}}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "augment", "--config", tmp_path / "run.yaml", "--input", tmp_path / "toy.tsv",
+            "--language", "tr", "--out-dir", tmp_path / "out",
+        )
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "augmented.tsv").read_text(encoding="utf-8").splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["1", "1-fr", "1-de", "2", "2-fr", "2-de"]
+        assert len((tmp_path / "c.tsv").read_text(encoding="utf-8").splitlines()) == 4
+        capsys.readouterr()
+
     def test_source_language_in_pivots_rejected(self, tmp_path, capsys):
         (tmp_path / "en.tsv").write_text("1\thello\tNOT\n", encoding="utf-8")
         code = run(
@@ -222,6 +259,25 @@ class TestAugmentCommand:
             "--pivots", "en,fr,de", "--language", "en", "--out-dir", tmp_path / "out",
         )
         assert code == EXIT_CONFIG
+        capsys.readouterr()
+
+    def test_cold_journals_are_byte_identical_in_row_then_pivot_order(self, tmp_path, capsys):
+        corpus = mini_corpus("tr", 240, seed=3)
+        save_labeled_tsv(corpus, tmp_path / "train.tsv")
+        journals = []
+        for name in ("a", "b"):
+            cache = tmp_path / name / "cache.tsv"
+            code = run(
+                "augment", "--input", tmp_path / "train.tsv", "--provider", "mock",
+                "--pivots", "en,fr,de", "--language", "tr", "--cache", cache,
+                "--out-dir", tmp_path / name,
+            )
+            assert code == EXIT_OK
+            journals.append(cache.read_bytes())
+        assert journals[0] == journals[1]
+        assert [line.split("\t")[:3] for line in journals[0].decode("utf-8").splitlines()] == [
+            [ex.text, "tr", pivot] for ex in corpus for pivot in ("en", "fr", "de")
+        ]
         capsys.readouterr()
 
 

@@ -89,6 +89,31 @@ class TestLoadLabeled:
         assert again.examples == corpus.examples
 
 
+class TestUndecodableBytes:
+    @pytest.mark.parametrize(
+        "loader, row",
+        [(load_labeled_tsv, b"\tmetin\tOFF"), (load_scored_tsv, b"\tmetin\t0.5")],
+        ids=["labeled", "scored"],
+    )
+    def test_error_names_file_and_line(self, tmp_path, loader, row):
+        # The bad line lies past the decoder's first chunk, and a lone \r
+        # ends a line as it does for the loader.
+        good = b"".join(b"%d%s\n" % (i, row) for i in range(1000))
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(good + b"x" + row + b"\r" + b"y\xff" + row + b"\n")
+        with pytest.raises(MalformedRow) as exc:
+            loader(path)
+        assert exc.value.line == 1002
+        assert str(exc.value) == f"{path}: line 1002: not valid UTF-8"
+
+    def test_truncated_character_on_last_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes("1\tx\tOFF\n2\tkötü".encode("utf-8")[:-1])
+        with pytest.raises(MalformedRow) as exc:
+            load_labeled_tsv(path)
+        assert exc.value.line == 2
+
+
 class TestLoadScored:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "s.tsv", "9\tsome tweet\t0.93\n")
