@@ -111,11 +111,12 @@ class MappingProvider:
 
     def __init__(self, entries: dict[tuple[str, str, str], str]):
         self.entries = dict(entries)
+        self._pairs = frozenset((source, target) for _, source, target in self.entries)
         self.calls = 0
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "MappingProvider":
-        return cls(_parse_translations(path, Path(path).read_text(encoding="utf-8")))
+        return cls(_parse_translations(path, _decode(path, Path(path).read_bytes())))
 
     def translate(self, text: str, source: str, target: str) -> str:
         self.calls += 1
@@ -125,7 +126,7 @@ class MappingProvider:
         return self.entries[key]
 
     def supports(self, source: str, target: str) -> bool:
-        return any(k[1] == source and k[2] == target for k in self.entries)
+        return (source, target) in self._pairs
 
 
 class HttpProvider:
@@ -199,6 +200,17 @@ def _unescape(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), text)
 
 
+def _decode(path: str | Path, data: bytes) -> str:
+    """data as UTF-8 text with universal newlines; bytes that are not UTF-8
+    fail naming the path and the line they are on."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise MalformedTranslationLine(path, head.count(b"\n") + 1, "not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _parse_translations(path: str | Path, text: str) -> dict[tuple[str, str, str], str]:
     """(text, source, target) -> translation from the lines of a
     `source_text<TAB>source<TAB>target<TAB>translation` TSV; blank lines are
@@ -245,9 +257,7 @@ class TranslationCache:
                 "%s: dropping a torn last line (%d bytes)", self.path, len(data) - end
             )
             self._complete_bytes = end
-        # Universal newlines, as text-mode reading gives.
-        text = data[:end].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        self._entries = _parse_translations(self.path, text)
+        self._entries = _parse_translations(self.path, _decode(self.path, data[:end]))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,22 +1,24 @@
 """Command-line orchestration of the pipeline stages.
 
-Every subcommand reads its settings from an optional YAML config file (flags
-override file values; credentials come from the environment only), executes
-one module operation, and writes its artifacts plus a run manifest to the
-output directory. Exit codes: 0 success, 1 runtime failure, 2 usage error,
-3 configuration error.
+Every subcommand resolves its settings once, from an optional YAML config file
+and its flags (each flag overrides the config key it names; credentials come
+from the environment only), executes one module operation, and writes its
+artifacts plus a run manifest to the output directory. Exit codes: 0 success,
+1 runtime failure, 2 usage error, 3 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -134,65 +136,168 @@ def _write_manifest(
         fh.write("\n")
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _normalization_config(config: dict) -> NormalizationConfig:
-    maps = config.get("normalize_maps", {})
-    if maps:
-        return NormalizationConfig.from_paths(
-            _require_input(maps.get("emoji_map"), "emoji map"),
-            _require_input(maps.get("slang_map"), "slang map"),
-            _require_input(maps.get("lexicon"), "lexicon"),
-        )
-    return NormalizationConfig.bundled()
-
-
-def _normalized_corpus(corpus: Corpus, config: dict) -> Corpus:
-    norm_config = _normalization_config(config)
+def _normalized_corpus(corpus: Corpus, run: RunConfig) -> Corpus:
+    norm_config = run.normalize_maps.load()
     examples = [
         type(ex)(ex.id, normalize(ex.text, norm_config), ex.label) for ex in corpus
     ]
     return Corpus(corpus.language, corpus.split, examples)
 
 
-def _mapping(config: dict, name: str) -> dict:
-    """config[name] ({} when absent), which must be a mapping."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping, got {section!r}")
-    return section
+# --- the config schema ----------------------------------------------------------
 
 
-def _section(config: dict, name: str, cls, fixed: tuple[str, ...] = ()) -> dict:
-    """A copy of config[name], which must be a mapping from fields of the
-    dataclass cls, other than those in `fixed`, to values of the field's type:
-    a bool is not an int, an int is a float, a list[t] holds only t, and null
-    only where the field allows None."""
-    section = _mapping(config, name)
-    hints = typing.get_type_hints(cls)
-    for key, value in section.items():
+def _list_of(item: type):
+    """A parser of comma-separated lists of item, also an argparse type; a
+    value that is not a string passes through unchanged."""
+
+    def parse(raw):
+        if not isinstance(raw, str):
+            return raw
+        return [item(v.strip()) for v in raw.split(",") if v.strip()]
+
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
+@dataclass(frozen=True)
+class AugmentConfig:
+    """The `augment` section."""
+
+    provider: str = "mock"
+    translations: str | None = None
+    endpoint: str | None = None
+    pivots: str | list[str] | None = None  # "fr,de" or [fr, de]
+    policy: str = "fail_fast"
+    cache: str | None = None
+
+    def __post_init__(self):
+        if self.policy not in {p.value for p in Policy}:
+            choices = ", ".join(p.value for p in Policy)
+            raise ConfigError(
+                f"config key augment.policy must be one of {choices}, got {self.policy!r}"
+            )
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    """The `grid` section: gridsearch's candidates, each a list or a
+    comma-separated string."""
+
+    learning_rates: str | list[float] | None = None
+    batch_sizes: str | list[int] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "learning_rates", _list_of(float)(self.learning_rates))
+        object.__setattr__(self, "batch_sizes", _list_of(int)(self.batch_sizes))
+
+
+@dataclass(frozen=True)
+class NormalizeMaps:
+    """The `normalize_maps` section: all three tables, or none for the
+    bundled ones."""
+
+    emoji_map: str | None = None
+    slang_map: str | None = None
+    lexicon: str | None = None
+
+    def load(self) -> NormalizationConfig:
+        if self == NormalizeMaps():
+            return NormalizationConfig.bundled()
+        return NormalizationConfig.from_paths(
+            _require_input(self.emoji_map, "emoji map"),
+            _require_input(self.slang_map, "slang map"),
+            _require_input(self.lexicon, "lexicon"),
+        )
+
+
+# Each section of a config file: its dataclass, and the fields of that class
+# that top-level keys set instead.
+SECTIONS = {
+    "encoder": (EncoderConfig, ()),
+    "train": (TrainConfig, ("language", "seed")),
+    "weaklabel": (WeakLabelConfig, ("seed",)),
+    "augment": (AugmentConfig, ()),
+    "grid": (GridConfig, ()),
+    "normalize_maps": (NormalizeMaps, ()),
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every setting of one command. `train` to `normalize_maps` hold the
+    sections of the config file, and the fields from `language` on are its
+    top-level keys."""
+
+    raw: dict  # the file as read, which the manifest fingerprints
+    train: typing.Callable[[], TrainConfig]  # see _resolve
+    encoder: EncoderConfig
+    weaklabel: WeakLabelConfig
+    augment: AugmentConfig
+    grid: GridConfig
+    normalize_maps: NormalizeMaps
+    language: str
+    seed: int
+    normalize: bool | None = None  # None: normalize English only
+    train_file: str | None = None
+    scored_file: str | None = None
+    test_file: str | None = None
+    gold_file: str | None = None
+    weak_file: str | None = None
+    holdout_fraction: float = 0.2
+
+    def __post_init__(self):
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ConfigError(
+                f"config key holdout_fraction must be in (0, 1), got {self.holdout_fraction!r}"
+            )
+        if self.normalize is None:
+            object.__setattr__(self, "normalize", self.language == "en")
+
+
+_NOT_KEYS = ("raw", *SECTIONS)  # RunConfig fields that are not plain keys
+
+
+_hints = functools.cache(typing.get_type_hints)  # it costs ~0.1 ms a call
+
+
+@functools.cache
+def _owners() -> dict[str, str | None]:
+    """Each config key -> the section that holds it (None: the top level)."""
+    owners = {key: None for key in _hints(RunConfig) if key not in _NOT_KEYS}
+    for name, (cls, fixed) in SECTIONS.items():
+        owners.update((key, name) for key in _hints(cls) if key not in fixed)
+    return owners
+
+
+def _checked(values, cls, name: str = "", fixed: tuple[str, ...] = ()) -> dict:
+    """A copy of the config section `name` ("" for the top level), which must
+    be a mapping from fields of the dataclass cls, other than those in
+    `fixed`, to values of the field's type: a bool is not an int, an int is a
+    float, a list[t] holds only t, and null only where the field allows None."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, got {values!r}")
+    hints = _hints(cls)
+    for key, value in values.items():
+        path = f"{name}.{key}" if name else key
         if key not in hints or key in fixed:
-            raise ConfigError(f"unknown config key {name}.{key}")
+            raise ConfigError(f"unknown config key {path}")
         hint = hints[key]
         allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
         if not any(_is_instance(value, t) for t in allowed):
             expected = " or ".join(_type_name(t) for t in allowed)
-            raise ConfigError(f"config key {name}.{key} must be {expected}, got {value!r}")
-    return dict(section)
-
-
-def _with_flags(section: dict, args, flags: dict[str, str]) -> dict:
-    """section with each key of `flags` replaced by its command-line flag's
-    value, where that flag was given."""
-    for key, flag in flags.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            section[key] = value
-    return section
+            raise ConfigError(f"config key {path} must be {expected}, got {value!r}")
+    return dict(values)
 
 
 def _is_instance(value, t: type) -> bool:
@@ -221,46 +326,37 @@ def _build(cls, name: str, **values):
         raise ConfigError(f"invalid {name} settings: {exc}") from exc
 
 
-def _seed(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if not _is_instance(seed, int):
-        raise ConfigError(f"config key seed must be int, got {seed!r}")
-    return seed
-
-
-def _encoder_config(config: dict, seed: int) -> EncoderConfig:
-    section = _section(config, "encoder", EncoderConfig)
-    section.setdefault("init_seed", seed)
-    return _build(EncoderConfig, "encoder", **section)
-
-
-def _train_config(config: dict, args, language: str, seed: int) -> TrainConfig:
-    # language and seed come from their own settings, not from this section.
-    section = _with_flags(
-        _section(config, "train", TrainConfig, fixed=("language", "seed")),
-        args,
-        {"epochs": "epochs", "batch_size": "batch_size", "learning_rate": "learning_rate"},
+def _resolve(args) -> RunConfig:
+    """The settings of one command line: the config file, checked against the
+    schema, with each flag given overriding the key its dest names."""
+    raw = _load_config(args.config)
+    top = _checked({k: v for k, v in raw.items() if k not in SECTIONS}, RunConfig, fixed=_NOT_KEYS)
+    sections = {
+        name: _checked(raw.get(name, {}), cls, name, fixed)
+        for name, (cls, fixed) in SECTIONS.items()
+    }
+    owners = _owners()
+    for key, value in vars(args).items():
+        if value is not None and key in owners:
+            (top if owners[key] is None else sections[owners[key]])[key] = value
+    # augment leaves an unnamed source language unknown: assuming "en" would
+    # wrongly reject the default pivot set for non-English files.
+    top.setdefault("language", "und" if args.command == "augment" else "en")
+    seed = top.setdefault("seed", 0)
+    return RunConfig(
+        raw=raw,
+        # Built when called: only the commands that train need batch_size and
+        # learning_rate for a language with no defaults.
+        train=functools.partial(
+            _build, TrainConfig, "train", language=top["language"], seed=seed, **sections["train"]
+        ),
+        encoder=_build(EncoderConfig, "encoder", **{"init_seed": seed, **sections["encoder"]}),
+        weaklabel=_build(WeakLabelConfig, "weaklabel", seed=seed, **sections["weaklabel"]),
+        augment=_build(AugmentConfig, "augment", **sections["augment"]),
+        grid=_build(GridConfig, "grid", **sections["grid"]),
+        normalize_maps=NormalizeMaps(**sections["normalize_maps"]),
+        **top,
     )
-    return _build(TrainConfig, "train", language=language, seed=seed, **section)
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """The `augment` config section; a command-line flag of the same name
-    overrides each key."""
-
-    provider: str = "mock"
-    translations: str | None = None
-    endpoint: str | None = None
-    pivots: str | list[str] | None = None  # "fr,de" or [fr, de]
-    policy: str = "fail_fast"
-    cache: str | None = None
-
-
-def _augment_config(config: dict, args) -> AugmentConfig:
-    section = _section(config, "augment", AugmentConfig)
-    flags = {f.name: f.name for f in fields(AugmentConfig)}
-    return AugmentConfig(**_with_flags(section, args, flags))
 
 
 def _make_provider(settings: AugmentConfig):
@@ -276,25 +372,12 @@ def _make_provider(settings: AugmentConfig):
 
 
 def _pivot_set(settings: AugmentConfig, language: str) -> PivotSet:
-    raw = settings.pivots
     try:
-        if raw is None:
+        if settings.pivots is None:
             return PivotSet.default_for(language)
-        if isinstance(raw, str):
-            raw = [p.strip() for p in raw.split(",") if p.strip()]
-        return PivotSet(tuple(raw)).validated_for(language)
+        return PivotSet(tuple(_list_of(str)(settings.pivots))).validated_for(language)
     except InvalidPivots as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _policy(settings: AugmentConfig) -> Policy:
-    try:
-        return Policy(settings.policy)
-    except ValueError:
-        choices = ", ".join(p.value for p in Policy)
-        raise ConfigError(
-            f"config key augment.policy must be one of {choices}, got {settings.policy!r}"
-        ) from None
 
 
 def emit_report_table(reports: list[EvalReport], layout: str) -> str:
@@ -334,114 +417,75 @@ def _write_reports(out_dir: Path, reports: list[EvalReport], layout: str) -> lis
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_stats(args) -> int:
-    config = _load_config(args.config)
-    path = _require_input(args.input or config.get("train_file"), "input file")
-    corpus = load_labeled_tsv(path, language=args.language)
+def cmd_stats(args, run: RunConfig) -> int:
+    path = _require_input(run.train_file, "input file")
+    corpus = load_labeled_tsv(path, language=run.language)
     stats = corpus_stats(corpus)
     print(f"{{off={stats.off_count}, not={stats.not_count}, total={stats.total}}}")
     if args.out_dir:
         out = _out_dir(args)
         stats_path = out / "stats.json"
-        stats_path.write_text(
-            json.dumps(
-                {"off": stats.off_count, "not": stats.not_count, "total": stats.total},
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        _write_manifest(out, "stats", config, 0, [path], [stats_path])
+        counts = {"off": stats.off_count, "not": stats.not_count, "total": stats.total}
+        _write_json(stats_path, counts)
+        _write_manifest(out, "stats", run.raw, 0, [path], [stats_path])
     return EXIT_OK
 
 
-def cmd_normalize(args) -> int:
-    config = _load_config(args.config)
-    path = _require_input(args.input, "input file")
+def cmd_normalize(args, run: RunConfig) -> int:
+    path = _require_input(run.train_file, "input file")
     out = _out_dir(args)
-    corpus = load_labeled_tsv(path, language=args.language)
-    normalized = _normalized_corpus(corpus, config)
+    corpus = load_labeled_tsv(path, language=run.language)
+    normalized = _normalized_corpus(corpus, run)
     out_path = out / "normalized.tsv"
     save_labeled_tsv(normalized, out_path)
-    _write_manifest(out, "normalize", config, 0, [path], [out_path])
+    _write_manifest(out, "normalize", run.raw, 0, [path], [out_path])
     print(f"normalized {len(normalized)} examples -> {out_path}")
     return EXIT_OK
 
 
-def cmd_weaklabel(args) -> int:
-    config = _load_config(args.config)
-    # seed comes from its own setting, not from this section.
-    section = _with_flags(
-        _section(config, "weaklabel", WeakLabelConfig, fixed=("seed",)),
-        args,
-        {"hi_threshold": "hi", "lo_threshold": "lo", "per_class_count": "per_class"},
-    )
-    path = _require_input(args.input or config.get("scored_file"), "scored input file")
-    seed = _seed(args, config)
-    wl_config = _build(WeakLabelConfig, "weaklabel", seed=seed, **section)
+def cmd_weaklabel(args, run: RunConfig) -> int:
+    path = _require_input(run.scored_file, "scored input file")
     scored = load_scored_tsv(path)
-    corpus = build_weak_corpus(scored, wl_config)
+    corpus = build_weak_corpus(scored, run.weaklabel)
     out = _out_dir(args)
     out_path = out / "weak_train.tsv"
     save_labeled_tsv(corpus, out_path)
-    _write_manifest(out, "weaklabel", config, seed, [path], [out_path])
+    _write_manifest(out, "weaklabel", run.raw, run.seed, [path], [out_path])
     print(f"weakly labeled {len(corpus)} examples -> {out_path}")
     return EXIT_OK
 
 
-def cmd_augment(args) -> int:
-    config = _load_config(args.config)
-    settings = _augment_config(config, args)
-    path = _require_input(args.input or config.get("train_file"), "input file")
-    # Unknown source stays unknown: assuming "en" would wrongly reject the
-    # default pivot set for non-English files loaded without a language flag.
-    language = args.language or config.get("language", "und")
-    corpus = load_labeled_tsv(path, language=language)
-    pivots = _pivot_set(settings, language)
-    provider = _make_provider(settings)
-    policy = _policy(settings)
-    cache = TranslationCache(settings.cache) if settings.cache else None
-    try:
-        augmented = augment_corpus(corpus, pivots, provider, policy=policy, cache=cache)
-    finally:
-        if cache is not None:
-            cache.close()
+def cmd_augment(args, run: RunConfig) -> int:
+    path = _require_input(run.train_file, "input file")
+    corpus = load_labeled_tsv(path, language=run.language)
+    pivots = _pivot_set(run.augment, run.language)
+    provider = _make_provider(run.augment)
+    journal = run.augment.cache
+    with TranslationCache(journal) if journal else contextlib.nullcontext() as cache:
+        augmented = augment_corpus(
+            corpus, pivots, provider, policy=Policy(run.augment.policy), cache=cache
+        )
     out = _out_dir(args)
     out_path = out / "augmented.tsv"
     save_labeled_tsv(augmented, out_path)
-    _write_manifest(out, "augment", config, 0, [path], [out_path])
+    _write_manifest(out, "augment", run.raw, 0, [path], [out_path])
     print(f"augmented {len(corpus)} -> {len(augmented)} examples -> {out_path}")
     return EXIT_OK
 
 
-def _normalizes(config: dict, language: str) -> bool:
-    return bool(config.get("normalize", language == "en"))
-
-
-def _load_corpus(path: Path, config: dict, language: str, split: str = "train") -> Corpus:
+def _load_corpus(path: Path, run: RunConfig, split: str = "train") -> Corpus:
     """A labeled TSV as every training stage sees it: normalized when the
     config says so (by default, for English only)."""
-    corpus = load_labeled_tsv(path, language=language, split=split)
-    if _normalizes(config, language):
-        corpus = _normalized_corpus(corpus, config)
-    return corpus
+    corpus = load_labeled_tsv(path, language=run.language, split=split)
+    return _normalized_corpus(corpus, run) if run.normalize else corpus
 
 
-def _load_training_corpus(args, config: dict, language: str) -> tuple[Corpus, Path]:
-    path = _require_input(args.input or config.get("train_file"), "training file")
-    return _load_corpus(path, config, language), path
-
-
-def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    language = args.language or config.get("language", "en")
-    seed = _seed(args, config)
-    corpus, path = _load_training_corpus(args, config, language)
-    encoder_config = _encoder_config(config, seed)
-    train_config = _train_config(config, args, language, seed)
-
-    vocab = build_vocab(corpus, encoder_config)
-    model = EncoderModel.initialize(encoder_config, vocab.size)
+def cmd_train(args, run: RunConfig) -> int:
+    train_config = run.train()
+    path = _require_input(run.train_file, "training file")
+    corpus = _load_corpus(path, run)
+    vocab = build_vocab(corpus, run.encoder)
+    model = EncoderModel.initialize(run.encoder, vocab.size)
     result = train_single(corpus, model, vocab, train_config)
 
     out = _out_dir(args)
@@ -451,66 +495,51 @@ def cmd_train(args) -> int:
         result.model,
         vocab,
         result.head,
-        meta={
-            "language": language,
-            "seed": seed,
-            "normalize": _normalizes(config, language),
-        },
+        meta={"language": run.language, "seed": run.seed, "normalize": run.normalize},
     )
     trace_path = out / "loss_trace.csv"
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(result.loss_trace, start=1):
             fh.write(f"{epoch},{loss!r}\n")
-    _write_manifest(out, "train", config, seed, [path], [ckpt_path, trace_path])
+    _write_manifest(out, "train", run.raw, run.seed, [path], [ckpt_path, trace_path])
     print(f"trained {train_config.epochs} epochs; final mean loss {result.loss_trace[-1]:.4f}")
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
+def cmd_evaluate(args, run: RunConfig) -> int:
     ckpt_path = _require_input(args.checkpoint, "checkpoint")
-    test_path = _require_input(args.input or config.get("test_file"), "test file")
+    test_path = _require_input(run.test_file, "test file")
     ckpt = load_train_checkpoint(ckpt_path)
     language = ckpt.meta.get("language", "en")
     corpus = load_labeled_tsv(test_path, language=language, split="test")
     if ckpt.meta.get("normalize"):
-        corpus = _normalized_corpus(corpus, config)
+        corpus = _normalized_corpus(corpus, run)
     preds = predict_labels(ckpt.model, ckpt.head, ckpt.vocab, corpus.texts())
     report = evaluate(
         preds,
         corpus.labels(),
         system=args.system,
-        config_fingerprint=_fingerprint(config),
+        config_fingerprint=_fingerprint(run.raw),
         seed=ckpt.meta.get("seed", 0),
     )
     out = _out_dir(args)
     report_path = out / "report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
-    _write_manifest(out, "evaluate", config, report.seed, [ckpt_path, test_path], [report_path])
+    _write_manifest(out, "evaluate", run.raw, report.seed, [ckpt_path, test_path], [report_path])
     print(f"macro-F1 {report.macro_f1:.4f} accuracy {report.accuracy:.4f}")
     return EXIT_OK
 
 
-def cmd_gridsearch(args) -> int:
-    config = _load_config(args.config)
-    language = args.language or config.get("language", "en")
-    seed = _seed(args, config)
-    corpus, path = _load_training_corpus(args, config, language)
-    grid = config.get("grid", {})
-    lrs = args.learning_rates or grid.get("learning_rates")
-    batches = args.batch_sizes or grid.get("batch_sizes")
+def cmd_gridsearch(args, run: RunConfig) -> int:
+    base_config = run.train()
+    lrs, batches = run.grid.learning_rates, run.grid.batch_sizes
     if not lrs or not batches:
         raise ConfigError("grid search needs learning_rates and batch_sizes")
-    if isinstance(lrs, str):
-        lrs = [float(v) for v in lrs.split(",")]
-    if isinstance(batches, str):
-        batches = [int(v) for v in batches.split(",")]
-    holdout = args.holdout if args.holdout is not None else config.get("holdout_fraction", 0.2)
-    train_split, validation = split_holdout(corpus, holdout, seed)
-    base_config = _train_config(config, args, language, seed)
-    encoder_config = _encoder_config(config, seed)
-    result = grid_search(lrs, batches, train_split, validation, base_config, encoder_config)
+    path = _require_input(run.train_file, "training file")
+    corpus = _load_corpus(path, run)
+    train_split, validation = split_holdout(corpus, run.holdout_fraction, run.seed)
+    result = grid_search(lrs, batches, train_split, validation, base_config, run.encoder)
 
     out = _out_dir(args)
     cells_path = out / "grid_cells.tsv"
@@ -525,59 +554,49 @@ def cmd_gridsearch(args) -> int:
                     f"{cell.report.macro_f1:.4f}\t{cell.report.accuracy:.4f}\tfalse\n"
                 )
     best_path = out / "best_config.json"
-    best_path.write_text(
-        json.dumps(
-            {
-                "language": language,
-                "learning_rate": result.best.learning_rate,
-                "batch_size": result.best.batch_size,
-                "epochs": result.best.epochs,
-                "seed": seed,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    _write_manifest(out, "gridsearch", config, seed, [path], [cells_path, best_path])
+    best = result.best
+    _write_json(best_path, {
+        "language": run.language,
+        "learning_rate": best.learning_rate,
+        "batch_size": best.batch_size,
+        "epochs": best.epochs,
+        "seed": run.seed,
+    })
+    _write_manifest(out, "gridsearch", run.raw, run.seed, [path], [cells_path, best_path])
     print(
-        f"best cell: lr={result.best.learning_rate:g} batch={result.best.batch_size}"
+        f"best cell: lr={best.learning_rate:g} batch={best.batch_size}"
     )
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    config = _load_config(args.config)
-    language = args.language or config.get("language", "en")
-    seed = _seed(args, config)
-    encoder_config = _encoder_config(config, seed)
-    train_config = _train_config(config, args, language, seed)
+def cmd_ablate(args, run: RunConfig) -> int:
+    train_config = run.train()
     out = _out_dir(args)
 
     if args.mode == "augmentation":
-        corpus, path = _load_training_corpus(args, config, language)
-        settings = _augment_config(config, args)
-        pivots = _pivot_set(settings, language)
-        provider = _make_provider(settings)
-        holdout = args.holdout if args.holdout is not None else config.get("holdout_fraction", 0.2)
+        path = _require_input(run.train_file, "training file")
+        corpus = _load_corpus(path, run)
+        pivots = _pivot_set(run.augment, run.language)
+        provider = _make_provider(run.augment)
         reports = ablation_augmentation(
-            corpus, pivots, provider, train_config, encoder_config, holdout_fraction=holdout
+            corpus, pivots, provider, train_config, run.encoder,
+            holdout_fraction=run.holdout_fraction,
         )
         artifacts = _write_reports(out, reports, "table4")
-        _write_manifest(out, "ablate", config, seed, [path], artifacts)
+        _write_manifest(out, "ablate", run.raw, run.seed, [path], artifacts)
     else:
-        gold = _require_input(args.gold or config.get("gold_file"), "gold training file")
-        weak = _require_input(args.weak or config.get("weak_file"), "weak training file")
-        test = _require_input(args.test or config.get("test_file"), "test file")
+        gold = _require_input(run.gold_file, "gold training file")
+        weak = _require_input(run.weak_file, "weak training file")
+        test = _require_input(run.test_file, "test file")
         reports = ablation_english(
-            _load_corpus(gold, config, language),
-            _load_corpus(weak, config, language),
-            _load_corpus(test, config, language, split="test"),
+            _load_corpus(gold, run),
+            _load_corpus(weak, run),
+            _load_corpus(test, run, split="test"),
             train_config,
-            encoder_config,
+            run.encoder,
         )
         artifacts = _write_reports(out, reports, "table3")
-        _write_manifest(out, "ablate", config, seed, [gold, weak, test], artifacts)
+        _write_manifest(out, "ablate", run.raw, run.seed, [gold, weak, test], artifacts)
     for report in reports:
         print(f"{report.system}: macro-F1 {report.macro_f1:.4f} accuracy {report.accuracy:.4f}")
     return EXIT_OK
@@ -585,96 +604,76 @@ def cmd_ablate(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+# Every flag that sets a config key: its argparse keywords, whose dest is the
+# key it overrides (see _resolve). --input names a different key per command.
+FLAGS = {
+    "--language": dict(help="corpus language code"),
+    "--seed": dict(type=int, help="global seed override"),
+    "--hi": dict(dest="hi_threshold", type=float, help="high confidence threshold"),
+    "--lo": dict(dest="lo_threshold", type=float, help="low confidence threshold"),
+    "--per-class": dict(dest="per_class_count", type=int, help="samples per class"),
+    "--pivots": dict(help="comma-separated pivot language codes"),
+    "--provider": dict(choices=["mock", "file", "http"]),
+    "--translations": dict(help="TSV for the file provider"),
+    "--endpoint": dict(help="HTTP provider endpoint"),
+    "--cache": dict(help="translation cache path"),
+    "--policy": dict(choices=[p.value for p in Policy]),
+    "--epochs": dict(type=int),
+    "--batch-size": dict(type=int),
+    "--learning-rate": dict(type=float),
+    "--learning-rates": dict(type=_list_of(float), help="comma-separated candidates"),
+    "--batch-sizes": dict(type=_list_of(int), help="comma-separated candidates"),
+    "--holdout": dict(dest="holdout_fraction", type=float, help="validation holdout fraction"),
+    "--gold": dict(dest="gold_file", help="gold training TSV (english mode)"),
+    "--weak": dict(dest="weak_file", help="weak training TSV (english mode)"),
+    "--test": dict(dest="test_file", help="test TSV (english mode)"),
+}
+_AUGMENT_FLAGS = "--pivots --provider --translations --endpoint"
+_TRAIN_FLAGS = "--epochs --batch-size --learning-rate"
 
-def _add_common(sub, out_dir_required=True):
-    sub.add_argument("--config", help="YAML configuration file")
-    sub.add_argument("--language", help="corpus language code")
-    sub.add_argument("--seed", type=int, help="global seed override")
-    if out_dir_required:
-        sub.add_argument("--out-dir", required=True, help="artifact output directory")
+# Each subcommand: its function, help, the key --input sets, and its flags.
+COMMANDS = {
+    "stats": (cmd_stats, "per-class dataset statistics", "train_file", "--language"),
+    "normalize": (cmd_normalize, "normalize a labeled corpus", "train_file", "--language"),
+    "weaklabel": (cmd_weaklabel, "threshold + sample a scored corpus", "scored_file",
+                  "--language --seed --hi --lo --per-class"),
+    "augment": (cmd_augment, "cross-lingual augmentation", "train_file",
+                f"--language {_AUGMENT_FLAGS} --cache --policy"),
+    "train": (cmd_train, "fine-tune the encoder + head", "train_file",
+              f"--language --seed {_TRAIN_FLAGS}"),
+    # The checkpoint gives evaluate its language and seed.
+    "evaluate": (cmd_evaluate, "evaluate a checkpoint on a test set", "test_file", ""),
+    "gridsearch": (cmd_gridsearch, "hyperparameter grid search", "train_file",
+                   "--language --seed --epochs --learning-rates --batch-sizes --holdout"),
+    "ablate": (cmd_ablate, "augmentation or dual-encoder ablation", "train_file",
+               f"--language --seed {_TRAIN_FLAGS} {_AUGMENT_FLAGS} --holdout --gold --weak --test"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 2 with one line, as every other failure ends."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="offlang",
         description="Offensive-language identification pipeline",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("stats", help="per-class dataset statistics")
-    p.add_argument("--input", help="labeled TSV")
-    p.add_argument("--config")
-    p.add_argument("--language", default="en")
-    p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_stats)
-
-    p = subparsers.add_parser("normalize", help="normalize a labeled corpus")
-    p.add_argument("--input", help="labeled TSV")
-    p.add_argument("--config")
-    p.add_argument("--language", default="en")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_normalize)
-
-    p = subparsers.add_parser("weaklabel", help="threshold + sample a scored corpus")
-    p.add_argument("--input", help="scored TSV")
-    p.add_argument("--hi", type=float, help="high confidence threshold")
-    p.add_argument("--lo", type=float, help="low confidence threshold")
-    p.add_argument("--per-class", type=int, help="samples per class")
-    _add_common(p)
-    p.set_defaults(func=cmd_weaklabel)
-
-    p = subparsers.add_parser("augment", help="cross-lingual augmentation")
-    p.add_argument("--input", help="labeled TSV")
-    p.add_argument("--pivots", help="comma-separated pivot language codes")
-    p.add_argument("--provider", choices=["mock", "file", "http"])
-    p.add_argument("--translations", help="TSV for the file provider")
-    p.add_argument("--endpoint", help="HTTP provider endpoint")
-    p.add_argument("--cache", help="translation cache path")
-    p.add_argument("--policy", choices=[p.value for p in Policy])
-    _add_common(p)
-    p.set_defaults(func=cmd_augment)
-
-    p = subparsers.add_parser("train", help="fine-tune the encoder + head")
-    p.add_argument("--input", help="labeled training TSV")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subparsers.add_parser("evaluate", help="evaluate a checkpoint on a test set")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", help="labeled test TSV")
-    p.add_argument("--system", default="model", help="row label for reports")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = subparsers.add_parser("gridsearch", help="hyperparameter grid search")
-    p.add_argument("--input", help="labeled training TSV")
-    p.add_argument("--learning-rates", help="comma-separated candidates")
-    p.add_argument("--batch-sizes", help="comma-separated candidates")
-    p.add_argument("--holdout", type=float, help="validation holdout fraction")
-    p.add_argument("--epochs", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_gridsearch)
-
-    p = subparsers.add_parser("ablate", help="augmentation or dual-encoder ablation")
-    p.add_argument("--mode", choices=["augmentation", "english"], required=True)
-    p.add_argument("--input", help="labeled training TSV (augmentation mode)")
-    p.add_argument("--gold", help="gold training TSV (english mode)")
-    p.add_argument("--weak", help="weak training TSV (english mode)")
-    p.add_argument("--test", help="test TSV (english mode)")
-    p.add_argument("--pivots")
-    p.add_argument("--provider", choices=["mock", "file", "http"])
-    p.add_argument("--translations")
-    p.add_argument("--endpoint")
-    p.add_argument("--holdout", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate)
-
+    sub = {}
+    for name, (func, help_text, input_key, flags) in COMMANDS.items():
+        sub[name] = p = subparsers.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="YAML configuration file")
+        p.add_argument("--input", dest=input_key, help=f"input TSV ({input_key})")
+        p.add_argument("--out-dir", required=name != "stats", help="artifact output directory")
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+    sub["evaluate"].add_argument("--checkpoint", required=True)
+    sub["evaluate"].add_argument("--system", default="model", help="row label for reports")
+    sub["ablate"].add_argument("--mode", choices=["augmentation", "english"], required=True)
     return parser
 
 
@@ -685,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,14 +32,14 @@ class Label(Enum):
     NOT = "NOT"
 
 
-def parse_label(token: str, line: int) -> Label:
+def parse_label(token: str, line: int, path=None) -> Label:
     """Canonicalize a label token case-insensitively; anything else is an error."""
     upper = token.strip().upper()
     if upper == "OFF":
         return Label.OFF
     if upper == "NOT":
         return Label.NOT
-    raise UnknownLabel(line, token)
+    raise UnknownLabel(line, token, path)
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,7 @@ def _read_rows(path: str | Path, min_fields: int):
                     raise MalformedRow(
                         line_no,
                         f"expected >= {min_fields} tab-separated fields, got {len(fields)}",
+                        path,
                     )
                 yield line_no, fields
         except UnicodeDecodeError:
@@ -138,11 +139,11 @@ def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train
     for line_no, fields in _read_rows(path, 3):
         ex_id, text, label_tok = fields[0], fields[1], fields[2]
         if not text.strip():
-            raise MalformedRow(line_no, "empty text field")
+            raise MalformedRow(line_no, "empty text field", path)
         if ex_id in seen:
-            raise DuplicateId(ex_id, line_no)
+            raise DuplicateId(ex_id, line_no, path)
         seen.add(ex_id)
-        examples.append(LabeledExample(ex_id, text, parse_label(label_tok, line_no)))
+        examples.append(LabeledExample(ex_id, text, parse_label(label_tok, line_no, path)))
     return Corpus(language=language, split=split, examples=examples)
 
 
@@ -162,15 +163,15 @@ def load_scored_tsv(path: str | Path) -> list[ScoredExample]:
     for line_no, fields in _read_rows(path, 3):
         ex_id, text, conf_tok = fields[0], fields[1], fields[2]
         if not text.strip():
-            raise MalformedRow(line_no, "empty text field")
+            raise MalformedRow(line_no, "empty text field", path)
         try:
             conf = float(conf_tok)
         except ValueError:
-            raise MalformedRow(line_no, f"confidence {conf_tok!r} is not a number") from None
+            raise MalformedRow(line_no, f"confidence {conf_tok!r} is not a number", path) from None
         if math.isnan(conf) or math.isinf(conf):
-            raise MalformedRow(line_no, f"confidence {conf_tok!r} is not finite")
+            raise MalformedRow(line_no, f"confidence {conf_tok!r} is not finite", path)
         if not 0.0 <= conf <= 1.0:
-            raise OutOfRangeConfidence(line_no, conf)
+            raise OutOfRangeConfidence(line_no, conf, path)
         out.append(ScoredExample(ex_id, text, conf))
     return out
 

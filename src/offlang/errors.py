@@ -5,13 +5,17 @@ class OffLangError(Exception):
     """Base class for all toolkit errors."""
 
 
+def _located(path, line: int, reason: str) -> str:
+    where = "" if path is None else f"{path}: "
+    return f"{where}line {line}: {reason}"
+
+
 class MalformedRow(OffLangError):
     """A TSV row that cannot be parsed (wrong arity, empty text, bad number,
     bytes that are not UTF-8)."""
 
     def __init__(self, line: int, reason: str, path=None):
-        where = "" if path is None else f"{path}: "
-        super().__init__(f"{where}line {line}: {reason}")
+        super().__init__(_located(path, line, reason))
         self.line = line
         self.reason = reason
         self.path = path
@@ -20,8 +24,8 @@ class MalformedRow(OffLangError):
 class UnknownLabel(MalformedRow):
     """A label token that is neither OFF nor NOT (case-insensitively)."""
 
-    def __init__(self, line: int, token: str):
-        super().__init__(line, f"unknown label token {token!r}")
+    def __init__(self, line: int, token: str, path=None):
+        super().__init__(line, f"unknown label token {token!r}", path)
         self.token = token
 
 
@@ -36,17 +40,17 @@ class MalformedTranslationLine(OffLangError):
 
 
 class DuplicateId(OffLangError):
-    def __init__(self, example_id: str, line: int | None = None):
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate example id {example_id!r}{where}")
+    def __init__(self, example_id: str, line: int | None = None, path=None):
+        reason = f"duplicate example id {example_id!r}"
+        super().__init__(reason if line is None else _located(path, line, reason))
         self.example_id = example_id
         self.line = line
+        self.path = path
 
 
-class OutOfRangeConfidence(OffLangError):
-    def __init__(self, line: int, value: float):
-        super().__init__(f"line {line}: confidence {value} outside [0, 1]")
-        self.line = line
+class OutOfRangeConfidence(MalformedRow):
+    def __init__(self, line: int, value: float, path=None):
+        super().__init__(line, f"confidence {value} outside [0, 1]", path)
         self.value = value
 
 

@@ -221,6 +221,30 @@ class TestTranslate:
         with pytest.raises(MalformedTranslationLine, match=f"^{re.escape(str(path))}: line 2: "):
             MappingProvider.from_tsv(path)
 
+    def test_mapping_provider_supports_exactly_the_pairs_it_holds(self):
+        provider = MappingProvider({
+            ("a", "en", "fr"): "x", ("b", "en", "fr"): "y", ("a", "en", "de"): "z",
+            ("c", "tr", "en"): "w",
+        })
+        for pair in (("en", "fr"), ("en", "de"), ("tr", "en")):
+            assert provider.supports(*pair)
+        for pair in (("fr", "en"), ("de", "en"), ("en", "tr"), ("en", "es"), ("tr", "fr")):
+            assert not provider.supports(*pair)
+        assert not MappingProvider({}).supports("en", "fr")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_translation_file_names_file_and_line(self, tmp_path, newline):
+        path = tmp_path / "translations.tsv"
+        good = b"".join(b"w%d\ttr\ten\tt%d%s" % (i, i, newline) for i in range(3000))
+        # A cache journal drops a last line that does not end in "\n".
+        path.write_bytes(good + b"bad\ttr\ten\tb\xffd\n")
+        with pytest.raises(MalformedTranslationLine) as exc:
+            MappingProvider.from_tsv(path)
+        assert str(exc.value) == f"{path}: line 3001: not valid UTF-8"
+        with pytest.raises(MalformedTranslationLine) as exc:
+            TranslationCache(path)
+        assert str(exc.value) == f"{path}: line 3001: not valid UTF-8"
+
     def test_mapping_provider_miss(self):
         provider = MappingProvider({("merhaba", "tr", "en"): "hello"})
         assert translate(provider, "merhaba", "tr", "en") == "hello"

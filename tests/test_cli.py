@@ -155,6 +155,63 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("train", "normalize_maps: 5\n", "config section 'normalize_maps' must be a mapping"),
+            ("gridsearch", "grid: 5\n", "config section 'grid' must be a mapping, got 5"),
+            ("train", "train_file: 5\n", "config key train_file must be str or null, got 5"),
+            ("gridsearch", 'grid: {learning_rates: "x", batch_sizes: [8]}\n',
+             "invalid grid settings: could not convert string to float: 'x'"),
+            ("gridsearch", "holdout_fraction: 2\n",
+             "config key holdout_fraction must be in (0, 1), got 2"),
+            ("train", "trian: {epochs: 9}\n", "unknown config key trian"),
+            ("stats", "language: 5\n", "config key language must be str, got 5"),
+            ("train", 'normalize: "no"\n', "config key normalize must be bool or null, got 'no'"),
+            ("stats", "train: {epoch: 1}\n", "unknown config key train.epoch"),
+            ("evaluate", "augment: {workers: 2}\n", "unknown config key augment.workers"),
+            ("normalize", "weaklabel: {hi_threshold: 0.1}\n", "invalid weaklabel settings"),
+        ],
+        ids=[
+            "scalar_normalize_maps", "scalar_grid", "int_train_file", "string_rate",
+            "holdout_above_one", "misspelt_section", "int_language", "string_normalize",
+            "unknown_key_in_stats", "unknown_key_in_evaluate", "bad_section_in_normalize",
+        ],
+    )
+    def test_every_command_checks_the_whole_file(self, workspace, capsys, command, text, message):
+        config = workspace / "bad.yaml"
+        config.write_text(text, encoding="utf-8")
+        flags = {"gridsearch": ["--learning-rates", "0.01", "--batch-sizes", "8"],
+                 "evaluate": ["--checkpoint", workspace / "train.tsv"]}.get(command, [])
+        if "grid:" in text:
+            flags = []  # a flag would override the section's value
+        code = run(
+            command, "--config", config, "--input", workspace / "train.tsv", *flags,
+            "--out-dir", workspace / "o",
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gridsearch", "--learning-rates", "a,b", "--batch-sizes", "8"],
+            ["gridsearch", "--learning-rates", "0.01", "--batch-sizes", "8.5"],
+            ["evaluate", "--checkpoint", "m.ckpt", "--language", "en"],
+            ["evaluate", "--checkpoint", "m.ckpt", "--seed", "1"],
+            ["augment", "--seed", "1"],
+        ],
+        ids=["bad_rates", "bad_batch_sizes", "evaluate_language", "evaluate_seed", "augment_seed"],
+    )
+    def test_bad_or_dead_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out-dir", tmp_path / "o") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_int_for_float_and_null_for_optional_are_accepted(self, workspace, capsys):
         config = workspace / "ok.yaml"
         config.write_text(
@@ -174,13 +231,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "is a directory" in err and str(tmp_path) in err
 
-    @pytest.mark.parametrize("command", ["stats", "weaklabel"])
-    def test_undecodable_tsv_is_runtime_failure(self, tmp_path, capsys, command):
-        path = tmp_path / "in.tsv"
-        path.write_bytes(b"1\tgood\t0.5\n2\tb\xffd\t0.5\n")
-        code = run(command, "--input", path, "--out-dir", tmp_path / "o")
+    @pytest.mark.parametrize(
+        "command, flag, data, reason",
+        [
+            ("stats", "--input", b"1\tgood\t0.5\n2\tb\xffd\t0.5\n", "not valid UTF-8"),
+            ("weaklabel", "--input", b"1\tgood\t0.5\n2\tb\xffd\t0.5\n", "not valid UTF-8"),
+            ("stats", "--input", b"1\tx\tOFF\n2\ty\tMAYBE\n", "unknown label token 'MAYBE'"),
+            ("stats", "--input", b"1\tx\tOFF\n1\ty\tNOT\n", "duplicate example id '1'"),
+            ("stats", "--input", b"1\tx\tOFF\n2\ty\n",
+             "expected >= 3 tab-separated fields, got 2"),
+            ("weaklabel", "--input", b"1\tx\t0.5\n2\ty\t1.5\n", "confidence 1.5 outside [0, 1]"),
+            ("augment", "--translations", b"hi\ten\tfr\tsalut\nbye\ten\tfr\tb\xffe\n",
+             "not valid UTF-8"),
+            ("augment", "--cache", b"hi\ten\tfr\tsalut\r\nbye\ten\tfr\tb\xffe\n",
+             "not valid UTF-8"),
+        ],
+        ids=[
+            "stats", "weaklabel", "unknown_label", "duplicate_id", "short_row",
+            "confidence_out_of_range", "undecodable_translations", "undecodable_cache",
+        ],
+    )
+    def test_undecodable_tsv_is_runtime_failure(
+        self, tmp_path, capsys, command, flag, data, reason
+    ):
+        # Every bad input file ends with one line naming the file and the line.
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(data)
+        (tmp_path / "en.tsv").write_text("1\thi\tNOT\n2\tbye\tOFF\n", encoding="utf-8")
+        argv = [flag, path] if flag == "--input" else [
+            "--input", tmp_path / "en.tsv", "--language", "en", "--pivots", "fr", flag, path,
+            "--provider", "file" if flag == "--translations" else "mock",
+        ]
+        code = run(command, *argv, "--out-dir", tmp_path / "o")
         assert code == EXIT_RUNTIME
-        assert capsys.readouterr().err == f"error: {path}: line 2: not valid UTF-8\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: {reason}\n"
 
     def test_checkpoint_without_head_is_runtime_failure(self, workspace, capsys):
         corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
@@ -195,6 +279,50 @@ class TestExitCodes:
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "head.w" in err and str(path) in err
+
+
+class TestConfigOverlay:
+    def test_input_comes_from_the_file_unless_the_flag_names_it(self, workspace, capsys):
+        (workspace / "c.yaml").write_text(
+            f"language: tr\ntrain_file: {workspace / 'test.tsv'}\n", encoding="utf-8"
+        )
+        assert run("stats", "--config", workspace / "c.yaml") == EXIT_OK
+        assert capsys.readouterr().out.endswith("total=48}\n")
+        assert run(
+            "stats", "--config", workspace / "c.yaml", "--input", workspace / "train.tsv"
+        ) == EXIT_OK
+        assert capsys.readouterr().out.endswith("total=120}\n")
+        assert run("normalize", "--config", workspace / "c.yaml", "--out-dir", workspace / "n") == 0
+        assert len(load_labeled_tsv(workspace / "n" / "normalized.tsv")) == 48
+        capsys.readouterr()
+
+    def test_grid_strings_in_the_file_equal_the_flags(self, workspace, capsys):
+        grid = "grid: {learning_rates: '0.008, 10000.0', batch_sizes: '8'}\n"
+        (workspace / "grid.yaml").write_text(RUN_YAML + grid, encoding="utf-8")
+        assert run(
+            "gridsearch", "--config", workspace / "grid.yaml", "--input", workspace / "train.tsv",
+            "--out-dir", workspace / "file",
+        ) == EXIT_OK
+        assert run(
+            "gridsearch", "--config", workspace / "run.yaml", "--input", workspace / "train.tsv",
+            "--learning-rates", "0.008,10000.0", "--batch-sizes", "8",
+            "--out-dir", workspace / "flag",
+        ) == EXIT_OK
+        for name in ("grid_cells.tsv", "best_config.json"):
+            assert (workspace / "file" / name).read_bytes() == (
+                workspace / "flag" / name
+            ).read_bytes()
+        capsys.readouterr()
+
+    def test_partial_normalize_maps_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "en.tsv").write_text("1\thello\tOFF\n", encoding="utf-8")
+        (tmp_path / "c.yaml").write_text(f"normalize_maps: {{emoji_map: {tmp_path / 'en.tsv'}}}\n")
+        code = run(
+            "normalize", "--config", tmp_path / "c.yaml", "--input", tmp_path / "en.tsv",
+            "--out-dir", tmp_path / "o",
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: missing required slang map\n"
 
 
 class TestStats:
