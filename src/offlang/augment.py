@@ -236,8 +236,9 @@ class TranslationCache:
 
     The journal is opened once, on the first `put`, and every entry is flushed
     to the OS before `put` returns; `close()` (or leaving a `with` block)
-    releases it. A last line without its newline, left by an interrupted
-    write, is dropped on load and cut from the file before the next append.
+    releases it. A last line without its line end (`\n` or `\r`), left by an
+    interrupted write, is dropped on load and cut from the file before the
+    next append.
     """
 
     def __init__(self, path: str | Path):
@@ -251,7 +252,7 @@ class TranslationCache:
 
     def _load(self) -> None:
         data = self.path.read_bytes()
-        end = data.rfind(b"\n") + 1
+        end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
         if end < len(data):
             logger.warning(
                 "%s: dropping a torn last line (%d bytes)", self.path, len(data) - end

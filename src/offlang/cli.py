@@ -383,19 +383,14 @@ def _pivot_set(settings: AugmentConfig, language: str) -> PivotSet:
 def emit_report_table(reports: list[EvalReport], layout: str) -> str:
     """TSV mirroring the published table shapes, values rounded to 4 decimals.
 
-    table2: one row of macro-F1 per language column (5 reports).
     table3: system/macro-F1/accuracy rows for the English ablation (3 reports).
     table4: the same columns for the augmentation ablation (2 reports).
     """
-    arity = {"table2": 5, "table3": 3, "table4": 2}
+    arity = {"table3": 3, "table4": 2}
     if layout not in arity:
         raise ValueError(f"unknown layout {layout!r}")
     if len(reports) != arity[layout]:
         raise ArityMismatch(layout, arity[layout], len(reports))
-    if layout == "table2":
-        header = "System\tTurkish\tArabic\tGreek\tDanish\tEnglish"
-        cells = "\t".join(f"{r.macro_f1:.4f}" for r in reports)
-        return f"{header}\n{reports[0].system}\t{cells}\n"
     lines = ["System\tMacro-F1\tAccuracy"]
     for r in reports:
         lines.append(f"{r.system}\t{r.macro_f1:.4f}\t{r.accuracy:.4f}")

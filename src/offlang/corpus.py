@@ -32,6 +32,10 @@ class Label(Enum):
     NOT = "NOT"
 
 
+# The class order of head outputs and confusion-matrix rows.
+CLASSES = (Label.OFF, Label.NOT)
+
+
 def parse_label(token: str, line: int, path=None) -> Label:
     """Canonicalize a label token case-insensitively; anything else is an error."""
     upper = token.strip().upper()
@@ -103,8 +107,11 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _read_rows(path: str | Path, min_fields: int):
-    """Yield (line_number, fields) for every data row, skipping a header."""
+    """Yield (line_number, fields) for every data row, skipping a header. A
+    row needs min_fields fields, a non-blank text (field 2) and an id (field
+    1) that no earlier row has."""
     path = Path(path)
+    seen: set[str] = set()
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
@@ -120,6 +127,11 @@ def _read_rows(path: str | Path, min_fields: int):
                         f"expected >= {min_fields} tab-separated fields, got {len(fields)}",
                         path,
                     )
+                if not fields[1].strip():
+                    raise MalformedRow(line_no, "empty text field", path)
+                if fields[0] in seen:
+                    raise DuplicateId(fields[0], line_no, path)
+                seen.add(fields[0])
                 yield line_no, fields
         except UnicodeDecodeError:
             raise MalformedRow(_first_undecodable_line(path), "not valid UTF-8", path) from None
@@ -135,14 +147,8 @@ def _first_undecodable_line(path: Path) -> int:
 def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train") -> Corpus:
     """Load `id<TAB>text<TAB>label` rows into a Corpus, preserving order."""
     examples: list[LabeledExample] = []
-    seen: set[str] = set()
     for line_no, fields in _read_rows(path, 3):
         ex_id, text, label_tok = fields[0], fields[1], fields[2]
-        if not text.strip():
-            raise MalformedRow(line_no, "empty text field", path)
-        if ex_id in seen:
-            raise DuplicateId(ex_id, line_no, path)
-        seen.add(ex_id)
         examples.append(LabeledExample(ex_id, text, parse_label(label_tok, line_no, path)))
     return Corpus(language=language, split=split, examples=examples)
 
@@ -162,8 +168,6 @@ def load_scored_tsv(path: str | Path) -> list[ScoredExample]:
     out: list[ScoredExample] = []
     for line_no, fields in _read_rows(path, 3):
         ex_id, text, conf_tok = fields[0], fields[1], fields[2]
-        if not text.strip():
-            raise MalformedRow(line_no, "empty text field", path)
         try:
             conf = float(conf_tok)
         except ValueError:

@@ -10,10 +10,11 @@ checked against finite differences.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,18 +87,6 @@ class EncoderConfig:
     @property
     def ffn(self) -> int:
         return self.ffn_size if self.ffn_size else 4 * self.hidden_size
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden_size": self.hidden_size,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "ffn_size": self.ffn_size,
-            "max_len": self.max_len,
-            "vocab_cap": self.vocab_cap,
-            "dropout": self.dropout,
-            "init_seed": self.init_seed,
-        }
 
 
 def build_vocab(corpus: Corpus, config: EncoderConfig) -> Vocabulary:
@@ -467,7 +456,7 @@ def save_checkpoint(
         offset += len(raw)
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "vocab": list(vocab.id_to_token),
         "tensors": index,
         "meta": meta or {},
@@ -490,21 +479,36 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """A checkpoint file; anything but a whole checkpoint of this version
+    fails with a ValueError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header_bytes, payload = fh.read(header_len), fh.read()
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+        if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
+            raise ValueError("the header is not a JSON object with a meta object")
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
-        payload = fh.read()
-    tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        tensors[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(
-            entry["shape"]
-        ).copy()
-    config = EncoderConfig(**header["config"])
-    vocab = Vocabulary.from_tokens(header["vocab"])
+        tensors = {entry["name"]: _tensor(payload, entry) for entry in header["tensors"]}
+        config = EncoderConfig(**header["config"])
+        vocab = Vocabulary.from_tokens(header["vocab"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: bad checkpoint: the header has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise ValueError(f"{path}: bad checkpoint: {exc}") from None
     return Checkpoint(config=config, vocab=vocab, tensors=tensors, meta=header["meta"])
+
+
+def _tensor(payload: bytes, entry: dict) -> np.ndarray:
+    """The tensor an index entry names, its size checked against its shape
+    and dtype and its bytes against the payload."""
+    name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+    dtype, size = np.dtype(entry["dtype"]), math.prod(entry["shape"])
+    if nbytes != size * dtype.itemsize:
+        raise ValueError(f"tensor {name}: {nbytes} bytes do not hold {entry['shape']} {dtype}")
+    if not 0 <= offset <= len(payload) - nbytes or nbytes < 0:
+        raise ValueError(f"tensor {name} lies outside the {len(payload)}-byte payload")
+    return np.frombuffer(payload, dtype, size, offset).reshape(entry["shape"]).copy()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import augment as augment_mod
 from . import train as train_mod
-from .corpus import Corpus, CorpusStats, Label, split_holdout
+from .corpus import CLASSES, Corpus, CorpusStats, Label, split_holdout
 from .encoder import (
     EncoderConfig,
     EncoderModel,
@@ -26,8 +26,6 @@ from .encoder import (
     forward,
 )
 from .errors import DivergenceError, EmptyCorpus
-
-CLASSES = (Label.OFF, Label.NOT)
 
 
 @dataclass(frozen=True)
@@ -134,47 +132,30 @@ def majority_baseline(train_stats: CorpusStats, gold: list[Label]) -> EvalReport
     return evaluate([majority] * len(gold), gold, system="majority-baseline")
 
 
-def _cls_batches(models: list[EncoderModel], vocab: Vocabulary, texts: list[str], batch_size: int):
-    """Inference-mode CLS vectors of `texts`, one batch at a time: each batch is
-    encoded once, padded to its longest row, and the models' vectors are
-    concatenated in order. Each forward's activation cache is dropped as soon
-    as it returns. With packed caches this costs no pipeline speed: in
-    alternating 20 s benchmark runs against keeping the previous batch's
-    caches alive (2-core x86_64, BLAS on 1 thread), `finetune`
-    `infer_ex_per_s` moved -0.6% (3 pairs) and `peak_rss_mb` fell from 113
-    to 97 MiB, and `ablate_en` and `tweets` `infer_ex_per_s` won 5 of 7
-    pairs each. A fresh interpreter that only predicts (h=32, T=16, 2,048
-    rows) still takes 7x the minor page faults and a third more time."""
-    max_len = models[0].config.max_len
-    for start in range(0, len(texts), batch_size):
-        ids, mask = encode_corpus(texts[start : start + batch_size], vocab, max_len)
-        yield np.concatenate([forward(model, ids, mask)[0] for model in models], axis=1)
-
-
 def predict_labels(
     model: EncoderModel,
     head: train_mod.ClassifierHead,
     vocab: Vocabulary,
     texts: list[str],
-    *,
-    second_model: EncoderModel | None = None,
-    batch_size: int = train_mod.FEATURE_BATCH,
 ) -> list[Label]:
     """Inference on original sentences only: encode, apply the head, argmax.
 
-    With second_model, the head reads the concatenated CLS vectors of both
-    encoders, which must share max_len and vocabulary size. Texts are
-    labelled one batch at a time, so labels do not depend on batch_size and
-    memory follows the batch, not the corpus."""
-    models = [model]
-    if second_model is not None:
-        if second_model.config.max_len != model.config.max_len:
-            raise ValueError("dual inference requires encoders with matching max_len")
-        if second_model.params["tok_emb"].shape[0] != model.params["tok_emb"].shape[0]:
-            raise ValueError("dual inference requires encoders with a shared vocabulary")
-        models.append(second_model)
-    batches = _cls_batches(models, vocab, texts, batch_size)
-    return [label for cls in batches for label in head.predict(cls)]
+    Texts are labelled train.FEATURE_BATCH rows at a time, each batch padded
+    to its longest row, so labels do not depend on the batch size and memory
+    follows the batch, not the corpus. Each forward's activation cache is
+    dropped as soon as it returns. With packed caches this costs no pipeline
+    speed: in alternating 20 s benchmark runs against keeping the previous
+    batch's caches alive (2-core x86_64, BLAS on 1 thread), `finetune`
+    `infer_ex_per_s` moved -0.6% (3 pairs) and `peak_rss_mb` fell from 113
+    to 97 MiB, and `ablate_en` and `tweets` `infer_ex_per_s` won 5 of 7
+    pairs each. A fresh interpreter that only predicts (h=32, T=16, 2,048
+    rows) still takes 7x the minor page faults and a third more time."""
+    batch = train_mod.FEATURE_BATCH
+    labels: list[Label] = []
+    for start in range(0, len(texts), batch):
+        ids, mask = encode_corpus(texts[start : start + batch], vocab, model.config.max_len)
+        labels += head.predict(forward(model, ids, mask)[0])
+    return labels
 
 
 @dataclass
@@ -250,7 +231,6 @@ def ablation_augmentation(
     encoder_config: EncoderConfig,
     *,
     holdout_fraction: float = 0.2,
-    cache: augment_mod.TranslationCache | None = None,
 ) -> list[EvalReport]:
     """Two arms differing only in the augmentation step: both train on the same
     holdout split (validation members identical), with identical seeds/configs;
@@ -259,7 +239,7 @@ def ablation_augmentation(
     train_split, validation = split_holdout(corpus, holdout_fraction, config.seed)
     without = _train_and_eval(train_split, validation, config, encoder_config, "-Augmentation")
     augmented = augment_mod.augment_corpus(
-        train_split, pivots, provider, policy=augment_mod.Policy.FAIL_FAST, cache=cache
+        train_split, pivots, provider, policy=augment_mod.Policy.FAIL_FAST
     )
     with_aug = _train_and_eval(augmented, validation, config, encoder_config, "+Augmentation")
     return [without, with_aug]
@@ -291,9 +271,8 @@ def ablation_english(
 
     # Each encoder's frozen CLS vectors on the gold and the test texts, computed
     # once and shared by the arms; every head is seeded from config.seed alone.
-    models, batch = (model_a, model_b), train_mod.FEATURE_BATCH
-    gold_x = [train_mod.frozen_features(m, gold_corpus.texts(), vocab) for m in models]
-    test_x = [np.concatenate(list(_cls_batches([m], vocab, test.texts(), batch))) for m in models]
+    gold_x = [train_mod.frozen_features(m, gold_corpus.texts(), vocab) for m in (model_a, model_b)]
+    test_x = [train_mod.frozen_features(m, test.texts(), vocab) for m in (model_a, model_b)]
     y = train_mod.label_ids(gold_corpus)
     reports: list[EvalReport] = []
     for system, arm in (("encoder-A-only", [0]), ("encoder-B-only", [1]), ("dual", [0, 1])):

@@ -1,13 +1,14 @@
 """English tweet normalization: placeholder substitution, emoji textualization,
 hashtag segmentation, slang expansion, number removal, whitespace cleanup.
 
-Steps run in a fixed order (user/url, emoji, hashtag, slang, numbers,
-whitespace) regardless of the order they are listed in; hashtag segmentation
-must precede slang expansion so segmented words can be slang keys, and number
-removal runs late so it cannot break earlier substitutions. Output is
-lowercased except for the reserved `<user>` placeholder. The whole pipeline is
-idempotent as long as the slang map satisfies its closure invariant (no
-replacement phrase contains a key of the map).
+Steps run in a fixed order (user/url, emoji, hashtag, slang, numbers);
+hashtag segmentation must precede slang expansion so segmented words can be
+slang keys, and number removal runs late so it cannot break earlier
+substitutions. Slang expansion and number removal re-join the tokens with
+single spaces, which is the whitespace cleanup. Output is lowercased except
+for the reserved `<user>` placeholder. The whole pipeline is idempotent as
+long as the slang map satisfies its closure invariant (no replacement phrase
+contains a key of the map).
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-STEP_ORDER = ("user_url", "emoji", "hashtag", "slang", "numbers", "whitespace")
 
 MAX_SEGMENT_WORD_LEN = 24
 # Distinct hashtag chunks remembered per lexicon; the memo is cleared when full.
@@ -125,9 +124,6 @@ class Lexicon:
         self._log10 = math.log(10.0)
         self._segment_memo: dict[str, str] = {}
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.counts
-
     def score(self, word: str) -> float:
         """log P(word) under the unigram model with the out-of-lexicon floor."""
         count = self.counts.get(word)
@@ -142,40 +138,25 @@ class Lexicon:
 
 @dataclass(frozen=True)
 class NormalizationConfig:
-    steps: tuple[str, ...] = STEP_ORDER
-    emoji_map: EmojiMap = None
-    slang_map: SlangMap = None
-    lexicon: Lexicon = None
-
-    def __post_init__(self):
-        unknown = set(self.steps) - set(STEP_ORDER)
-        if unknown:
-            raise ValueError(f"unknown normalization steps: {sorted(unknown)}")
-        if len(set(self.steps)) != len(self.steps):
-            raise ValueError("each normalization step may appear at most once")
+    emoji_map: EmojiMap
+    slang_map: SlangMap
+    lexicon: Lexicon
 
     @classmethod
     def from_paths(
-        cls,
-        emoji_map_path: str | Path,
-        slang_map_path: str | Path,
-        lexicon_path: str | Path,
-        steps: tuple[str, ...] = STEP_ORDER,
+        cls, emoji_map_path: str | Path, slang_map_path: str | Path, lexicon_path: str | Path
     ) -> "NormalizationConfig":
         return cls(
-            steps=tuple(steps),
             emoji_map=EmojiMap.from_tsv(emoji_map_path),
             slang_map=SlangMap.from_tsv(slang_map_path),
             lexicon=Lexicon.from_tsv(lexicon_path),
         )
 
     @classmethod
-    def bundled(cls, steps: tuple[str, ...] = STEP_ORDER) -> "NormalizationConfig":
+    def bundled(cls) -> "NormalizationConfig":
         """Configuration backed by the data files shipped with the package."""
         data = resources.files("offlang.data")
-        return cls.from_paths(
-            data / "emoji_map.tsv", data / "slang_map.tsv", data / "lexicon.tsv", steps
-        )
+        return cls.from_paths(data / "emoji_map.tsv", data / "slang_map.tsv", data / "lexicon.tsv")
 
 
 def map_emoji(text: str, emoji_map: EmojiMap) -> str:
@@ -273,27 +254,16 @@ def _segment(tag: str, lexicon: Lexicon) -> str:
 
 
 def normalize(text: str, config: NormalizationConfig) -> str:
-    """Apply the enabled steps in their fixed order; total on valid UTF-8."""
-    enabled = set(config.steps)
-    if "user_url" in enabled:
-        text = _URL_RE.sub("http", text)
-        text = _URL_LITERAL_RE.sub("http", text)
-        text = _USER_RE.sub(USER_PLACEHOLDER, text)
-    if "emoji" in enabled:
-        text = map_emoji(text, config.emoji_map)
-    text = text.lower()
-    if "hashtag" in enabled:
-        def replace_tag(match: re.Match) -> str:
-            body = match.group(1)
-            chunks = [c for c in re.split(r"_+", body) if c]
-            return " ".join(segment_hashtag(c, config.lexicon) for c in chunks)
+    """Apply every step in its fixed order; total on valid UTF-8."""
+    text = _URL_RE.sub("http", text)
+    text = _URL_LITERAL_RE.sub("http", text)
+    text = _USER_RE.sub(USER_PLACEHOLDER, text)
+    text = map_emoji(text, config.emoji_map).lower()
 
-        text = _HASHTAG_RE.sub(replace_tag, text)
-        text = text.replace("#", " ")
-    if "slang" in enabled:
-        text = " ".join(config.slang_map.entries.get(tok, tok) for tok in text.split())
-    if "numbers" in enabled:
-        text = " ".join(tok for tok in text.split() if not _DIGITS_RE.match(tok))
-    if "whitespace" in enabled:
-        text = " ".join(text.split())
-    return text
+    def replace_tag(match: re.Match) -> str:
+        chunks = [c for c in re.split(r"_+", match.group(1)) if c]
+        return " ".join(segment_hashtag(c, config.lexicon) for c in chunks)
+
+    text = _HASHTAG_RE.sub(replace_tag, text).replace("#", " ")
+    text = " ".join(config.slang_map.entries.get(tok, tok) for tok in text.split())
+    return " ".join(tok for tok in text.split() if not _DIGITS_RE.match(tok))

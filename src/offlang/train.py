@@ -1,9 +1,9 @@
 """Supervised fine-tuning of the miniature encoder.
 
 A two-way classification head sits on the CLS vector; training backpropagates
-through head and encoder (unless frozen) and applies Adam updates. Everything
-is driven by one seeded generator in a fixed order, so a (seed, data, config)
-triple maps to bitwise-identical final parameters.
+through head and encoder and applies Adam updates. Everything is driven by one
+seeded generator in a fixed order, so a (seed, data, config) triple maps to
+bitwise-identical final parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Label
+from .corpus import CLASSES, Corpus, Label
 from .encoder import (
     Checkpoint,
     EncoderModel,
@@ -41,15 +41,16 @@ LOSS_DIVERGENCE_LIMIT = 1e3
 # Rows per inference-mode forward pass (frozen features and prediction).
 FEATURE_BATCH = 128
 
-_CLASS_ORDER = (Label.OFF, Label.NOT)
+# Adam's decay rates and denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def label_index(label: Label) -> int:
-    return _CLASS_ORDER.index(label)
+    return CLASSES.index(label)
 
 
 def index_label(idx: int) -> Label:
-    return _CLASS_ORDER[idx]
+    return CLASSES[idx]
 
 
 @dataclass
@@ -59,7 +60,6 @@ class TrainConfig:
     batch_size: int | None = None
     learning_rate: float | None = None
     seed: int = 0
-    freeze_encoders: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -105,9 +105,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -135,7 +132,6 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """Standard Adam with bias correction; updates params and state in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     for name, grad in grads.items():
         if params[name].shape != grad.shape:
             raise ValueError(
@@ -143,13 +139,13 @@ def adam_step(
             )
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1 - b1) * grad
-        v *= b2
-        v += (1 - b2) * grad * grad
-        m_hat = m / (1 - b1**state.t)
-        v_hat = v / (1 - b2**state.t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= BETA1
+        m += (1 - BETA1) * grad
+        v *= BETA2
+        v += (1 - BETA2) * grad * grad
+        m_hat = m / (1 - BETA1**state.t)
+        v_hat = v / (1 - BETA2**state.t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params, state
 
 
@@ -233,17 +229,12 @@ def train_single(
 ) -> TrainResult:
     """Fine-tune encoder + head with cross-entropy over seeded-shuffled
     mini-batches, each encoded when it is drawn and padded to its longest row.
-    With freeze_encoders only a head is trained (train_head), on CLS vectors
-    computed once in inference mode. The input model is not mutated."""
+    The input model is not mutated."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     model = model.copy()
     texts = corpus.texts()
     y = label_ids(corpus)
-    if config.freeze_encoders:
-        head, trace = train_head(frozen_features(model, texts, vocab), y, config)
-        return TrainResult(model=model, head=head, loss_trace=trace)
-
     rng = np.random.default_rng(config.seed)
     head = ClassifierHead.initialize(model.config.hidden_size, config.seed)
     params = {"head.w": head.w, "head.b": head.b}

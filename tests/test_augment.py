@@ -180,6 +180,21 @@ class TestTornJournal:
         assert len(cache) == 1
         assert path.stat().st_size == len(b"good\ten\tde\tgut\nhel") + 1  # untouched until a put
 
+    def test_lines_ending_in_cr_are_whole(self, tmp_path, caplog):
+        path = tmp_path / "cache.tsv"
+        journal = b"hi\ten\tfr\tH-FR\rhi\ten\tde\tH-DE\r"
+        path.write_bytes(journal)
+        corpus = Corpus("en", "train", [LabeledExample("1", "hi", Label.NOT)])
+        provider = MockTaggingProvider()
+        with caplog.at_level(logging.WARNING, logger="offlang.augment"):
+            with TranslationCache(path) as cache:
+                assert len(cache) == 2
+                augmented = augment_corpus(corpus, PivotSet(("fr", "de")), provider, cache=cache)
+        assert "torn" not in caplog.text
+        assert provider.calls == 0
+        assert augmented.texts() == ["hi", "hi [SEP] H-FR", "hi [SEP] H-DE"]
+        assert path.read_bytes() == journal
+
     def test_malformed_complete_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("good\ten\tde\tgut\n\nbad\ten\n", encoding="utf-8")

@@ -17,6 +17,7 @@ from offlang.encoder import EncoderConfig, EncoderModel, build_vocab, save_check
 from offlang.errors import ArityMismatch
 from offlang.evaluation import evaluate
 from offlang.normalize import NormalizationConfig, normalize
+from offlang.train import ClassifierHead, save_train_checkpoint
 
 RUN_YAML = """
 language: tr
@@ -72,6 +73,49 @@ class TestExitCodes:
         )
         assert code == 1
         capsys.readouterr()
+
+    @staticmethod
+    def _edit_header(data: bytes, edit) -> bytes:
+        size = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16 : 16 + size])
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        return data[:8] + len(raw).to_bytes(8, "little") + raw + data[16 + size :]
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["cut_in_half", "first_40_bytes", "header_byte_ff", "version_2", "short_tensor",
+         "misplaced_tensor", "meta_not_an_object", "no_vocab"],
+    )
+    def test_damaged_checkpoint_names_the_file(self, workspace, capsys, damage):
+        corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
+        config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
+        vocab = build_vocab(corpus, config)
+        path = workspace / "damaged.ckpt"
+        head = ClassifierHead.initialize(8, seed=0)
+        save_train_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab, head)
+        data = path.read_bytes()
+
+        def first_tensor(**fields):
+            return lambda header: header["tensors"][0].update(fields)
+
+        path.write_bytes({
+            "cut_in_half": lambda: data[: len(data) // 2],
+            "first_40_bytes": lambda: data[:40],
+            "header_byte_ff": lambda: data[:20] + b"\xff" + data[21:],
+            "version_2": lambda: self._edit_header(data, lambda h: h.update(version=2)),
+            "short_tensor": lambda: self._edit_header(data, first_tensor(nbytes=8)),
+            "misplaced_tensor": lambda: self._edit_header(data, first_tensor(offset=len(data))),
+            "meta_not_an_object": lambda: self._edit_header(data, lambda h: h.update(meta=[])),
+            "no_vocab": lambda: self._edit_header(data, lambda h: h.pop("vocab")),
+        }[damage]())
+        code = run(
+            "evaluate", "--checkpoint", path,
+            "--input", workspace / "test.tsv", "--out-dir", workspace / "o",
+        )
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -241,6 +285,7 @@ class TestExitCodes:
             ("stats", "--input", b"1\tx\tOFF\n2\ty\n",
              "expected >= 3 tab-separated fields, got 2"),
             ("weaklabel", "--input", b"1\tx\t0.5\n2\ty\t1.5\n", "confidence 1.5 outside [0, 1]"),
+            ("weaklabel", "--input", b"s1\tx\t0.9\ns1\ty\t0.1\n", "duplicate example id 's1'"),
             ("augment", "--translations", b"hi\ten\tfr\tsalut\nbye\ten\tfr\tb\xffe\n",
              "not valid UTF-8"),
             ("augment", "--cache", b"hi\ten\tfr\tsalut\r\nbye\ten\tfr\tb\xffe\n",
@@ -248,7 +293,7 @@ class TestExitCodes:
         ],
         ids=[
             "stats", "weaklabel", "unknown_label", "duplicate_id", "short_row",
-            "confidence_out_of_range", "undecodable_translations", "undecodable_cache",
+            "confidence_out_of_range", "scored_duplicate_id", "undecodable_translations", "undecodable_cache",
         ],
     )
     def test_undecodable_tsv_is_runtime_failure(
@@ -441,6 +486,16 @@ class TestAugmentCommand:
         )
         capsys.readouterr()
 
+    def test_cache_lines_ending_in_cr_are_served_and_kept(self, tmp_path, capsys):
+        journal = b"hello\ten\tfr\tH-FR\rbye\ten\tfr\tB-FR\r"
+        code, cache = self._augment_with_cache(tmp_path, journal)
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "augmented.tsv").read_text(encoding="utf-8").splitlines()
+        assert rows[1] == "1-fr\thello [SEP] H-FR\tNOT"
+        assert rows[3] == "2-fr\tbye [SEP] B-FR\tOFF"
+        assert cache.read_bytes() == journal
+        assert "torn" not in capsys.readouterr().err
+
     def test_malformed_cache_line_is_runtime_failure(self, tmp_path, capsys):
         code, cache = self._augment_with_cache(tmp_path, b"hello\ten\tfr\tbonjour\nbye\ten\n")
         assert code == EXIT_RUNTIME
@@ -617,11 +672,6 @@ class TestReportTable:
     def test_table3_shape(self):
         lines = emit_report_table(self.make_reports(3), "table3").splitlines()
         assert len(lines) == 4
-
-    def test_table2_shape(self):
-        lines = emit_report_table(self.make_reports(5), "table2").splitlines()
-        assert lines[0] == "System\tTurkish\tArabic\tGreek\tDanish\tEnglish"
-        assert len(lines) == 2
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):

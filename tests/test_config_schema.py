@@ -28,7 +28,6 @@ SECTIONS = {
     },
     "train": {
         "epochs": ("int",), "batch_size": ("int", "null"), "learning_rate": ("float", "null"),
-        "freeze_encoders": ("bool",),
     },
     "weaklabel": {"hi_threshold": ("float",), "lo_threshold": ("float",), "per_class_count": ("int",)},
     "augment": {
@@ -137,6 +136,17 @@ COMMANDS = {
 }
 
 
+def run_with_config(inputs, command: str, config_name: str) -> tuple[int, str]:
+    """main's exit code and stderr for command run on the inputs with the
+    named config file."""
+    argv = [command, "--config", str(inputs / config_name), "--out-dir", str(inputs / "out")]
+    argv += [str(inputs / f) if f.endswith(".tsv") else f for f in COMMANDS[command]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(
     max_examples=80, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
@@ -145,13 +155,17 @@ COMMANDS = {
 def test_every_config_ends_in_a_documented_exit(inputs, config):
     (inputs / "run.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
     assert yaml.safe_load((inputs / "run.yaml").read_text(encoding="utf-8")) == config
-    for command, flags in COMMANDS.items():
-        argv = [command, "--config", str(inputs / "run.yaml"), "--out-dir", str(inputs / "out")]
-        argv += [str(inputs / f) if f.endswith(".tsv") else f for f in flags]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        assert code in (EXIT_OK, EXIT_CONFIG), (command, code, err.getvalue())
-        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    for command in COMMANDS:
+        code, err = run_with_config(inputs, command, "run.yaml")
+        assert code in (EXIT_OK, EXIT_CONFIG), (command, code, err)
+        assert len(err.splitlines()) <= 1, err
         if badly_typed(config):
             assert code == EXIT_CONFIG, (command, config)
+
+
+def test_freeze_encoders_is_an_unknown_key(inputs):
+    (inputs / "frozen.yaml").write_text("train: {freeze_encoders: true}\n", encoding="utf-8")
+    for command in COMMANDS:
+        code, err = run_with_config(inputs, command, "frozen.yaml")
+        assert code == EXIT_CONFIG, command
+        assert err == "configuration error: unknown config key train.freeze_encoders\n"

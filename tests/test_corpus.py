@@ -139,6 +139,17 @@ class TestLoadScored:
         path = write(tmp_path, "s.tsv", "1\ta\t0.0\n2\tb\t1.0\n")
         assert [s.confidence for s in load_scored_tsv(path)] == [0.0, 1.0]
 
+    def test_duplicate_id_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "s.tsv", "s1\ta\t0.9\ns2\tb\t0.1\ns1\tc\t0.5\n")
+        with pytest.raises(DuplicateId) as info:
+            load_scored_tsv(path)
+        assert (info.value.path, info.value.line) == (path, 3)
+
+    def test_empty_text_is_malformed(self, tmp_path):
+        path = write(tmp_path, "s.tsv", "s1\t \t0.9\n")
+        with pytest.raises(MalformedRow, match="line 1: empty text field"):
+            load_scored_tsv(path)
+
 
 def make_corpus(n_off, n_not, seed=0):
     examples = [LabeledExample(f"o{i}", f"off text {i}", Label.OFF) for i in range(n_off)]

@@ -28,8 +28,6 @@ from offlang.encoder import (
     tokenize,
 )
 from offlang.errors import EmptyCorpus
-from offlang.evaluation import predict_labels
-from offlang.train import ClassifierHead
 
 
 def corpus_of(texts):
@@ -431,66 +429,6 @@ class TestInit:
         model = tiny_model()
         assert np.all(model.params["layer0.ln1.gain"] == 1.0)
         assert np.all(model.params["layer0.ln1.bias"] == 0.0)
-
-
-class TestDualEncode:
-    """Dual-encoder inference: predict_labels(second_model=) applies the head
-    to [CLS of model | CLS of second_model]."""
-
-    TEXTS = ["a", "b", "a b", "b a", "a a b", "b b", "a b b a", ""]
-
-    def make(self, seed):
-        return tiny_model(seed, vocab_size=AB_VOCAB.size)
-
-    def head(self, seed, *models):
-        """A random head over the models' concatenated vectors, its bias set
-        so that half of TEXTS fall on each side of the decision boundary."""
-        vectors = np.concatenate([cls_vectors(m, self.TEXTS) for m in models], axis=1)
-        w = np.random.default_rng(seed).standard_normal((vectors.shape[1], 2))
-        margin = vectors @ (w[:, 0] - w[:, 1])
-        return ClassifierHead(w=w, b=np.array([-np.median(margin), 0.0]))
-
-    def predict(self, model, head, second_model=None):
-        return predict_labels(model, head, AB_VOCAB, self.TEXTS, second_model=second_model)
-
-    def test_concatenation_length(self):
-        model_a, model_b = self.make(1), self.make(2)
-        assert len(self.predict(model_a, self.head(0, model_a, model_b), model_b)) == len(self.TEXTS)
-        with pytest.raises(ValueError):
-            self.predict(model_a, self.head(0, model_a), model_b)
-
-    def test_same_model_halves_equal(self):
-        # Either half of a duplicated encoder's vector is the single vector.
-        model = self.make(1)
-        head = self.head(3, model)
-        single = self.predict(model, head)
-        assert len(set(single)) == 2
-        zeros = np.zeros_like(head.w)
-        for stacked in (np.vstack([head.w, zeros]), np.vstack([zeros, head.w])):
-            assert self.predict(model, ClassifierHead(stacked, head.b), model) == single
-
-    def test_swap_order_swaps_halves(self):
-        model_a, model_b = self.make(1), self.make(2)
-        head = self.head(4, model_a, model_b)
-        ab = self.predict(model_a, head, model_b)
-        swapped = ClassifierHead(np.vstack([head.w[8:], head.w[:8]]), head.b)
-        assert self.predict(model_b, swapped, model_a) == ab
-        assert len(set(ab)) == 2
-
-    def test_mismatched_configs_rejected(self):
-        model_a = self.make(1)
-        other = EncoderConfig(
-            hidden_size=8, num_layers=1, num_heads=2, max_len=6, vocab_cap=50, dropout=0.0
-        )
-        model_b = EncoderModel.initialize(other, AB_VOCAB.size)
-        head = self.head(0, model_a, model_a)
-        with pytest.raises(ValueError, match="max_len"):
-            self.predict(model_a, head, model_b)
-        # A larger embedding table runs silently whenever no id exceeds the
-        # smaller one, so a differing vocabulary size is rejected up front.
-        wider = tiny_model(2, vocab_size=AB_VOCAB.size + 5)
-        with pytest.raises(ValueError, match="vocabulary"):
-            self.predict(model_a, head, wider)
 
 
 class TestCheckpoint:

@@ -1,7 +1,7 @@
 import json
 import random
-from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import ForwardRecorder
@@ -28,7 +28,14 @@ from offlang.evaluation import (
     majority_baseline,
     predict_labels,
 )
-from offlang.train import FEATURE_BATCH, train_dual, train_single
+from offlang.train import (
+    FEATURE_BATCH,
+    frozen_features,
+    label_ids,
+    train_dual,
+    train_head,
+    train_single,
+)
 
 OFF, NOT = Label.OFF, Label.NOT
 
@@ -139,37 +146,35 @@ class TestEvaluate:
 
 
 class TestPredictLabels:
-    def models(self):
+    def trained(self):
         corpus = separable_toy_corpus(150, seed=0)
         encoder_config = toy_encoder_config()
         vocab = build_vocab(corpus, encoder_config)
-        config = toy_train_config(epochs=1)
-        model_a = EncoderModel.initialize(encoder_config, vocab.size)
-        model_a = train_single(corpus, model_a, vocab, config).model
-        model_b = EncoderModel.initialize(toy_encoder_config(seed=1), vocab.size)
-        head, _ = train_dual(corpus, model_a, model_b, vocab, config)
-        return corpus.texts(), vocab, model_a, model_b, head
+        model = EncoderModel.initialize(encoder_config, vocab.size)
+        result = train_single(corpus, model, vocab, toy_train_config(epochs=1))
+        return corpus.texts(), vocab, result.model, result.head
 
-    def test_labels_do_not_depend_on_batch_size(self):
-        texts, vocab, model_a, model_b, head = self.models()
-        reference = predict_labels(model_a, head, vocab, texts, second_model=model_b, batch_size=1)
-        assert set(reference) == {OFF, NOT}
-        for batch_size in (7, 128):
-            assert reference == predict_labels(
-                model_a, head, vocab, texts, second_model=model_b, batch_size=batch_size
-            )
+    def test_labels_do_not_depend_on_batch_size(self, monkeypatch):
+        texts, vocab, model, head = self.trained()
+        labels = {}
+        for batch in (1, 7, 64, 128):
+            monkeypatch.setattr(train_mod, "FEATURE_BATCH", batch)
+            labels[batch] = predict_labels(model, head, vocab, texts)
+        assert set(labels[1]) == {OFF, NOT}
+        assert all(labels[batch] == labels[1] for batch in labels)
 
     def test_each_forward_gets_one_trimmed_batch(self, monkeypatch):
-        texts, vocab, model_a, model_b, head = self.models()
+        texts, vocab, model, head = self.trained()
         recorder = ForwardRecorder(evaluation_mod.forward)
         monkeypatch.setattr(evaluation_mod, "forward", recorder)
-        predict_labels(model_a, head, vocab, texts, second_model=model_b, batch_size=64)
+        monkeypatch.setattr(train_mod, "FEATURE_BATCH", 64)
+        predict_labels(model, head, vocab, texts)
         recorder.assert_per_batch(64)
-        assert [rows for rows, *_ in recorder.calls] == [64, 64, 64, 64, 22, 22]
+        assert [rows for rows, *_ in recorder.calls] == [64, 64, 22]
 
     def test_empty_input(self):
-        texts, vocab, model_a, _, head = self.models()
-        assert predict_labels(model_a, head, vocab, [], batch_size=8) == []
+        texts, vocab, model, head = self.trained()
+        assert predict_labels(model, head, vocab, []) == []
 
 
 class TestMajorityBaseline:
@@ -297,22 +302,23 @@ def english_task(seed: int):
 
 
 def composed_english_ablation(gold, weak, test, config, encoder_config) -> list[dict]:
-    """The ablation as separate calls: a frozen train_single and
-    predict_labels per single arm, train_dual and a dual predict_labels for
-    the dual arm, each extracting its own features."""
+    """The ablation as separate calls, each extracting its own features: per
+    single arm, a head trained on the encoder's frozen gold features and
+    predict_labels; for the dual arm, train_dual and the head applied to both
+    encoders' test features, concatenated here."""
     combined = Corpus("en", "train", list(gold.examples) + list(weak.examples))
     vocab = build_vocab(combined, encoder_config)
     encoders = [
         train_single(corpus, EncoderModel.initialize(encoder_config, vocab.size), vocab, config).model
         for corpus in (gold, weak)
     ]
-    frozen = replace(config, freeze_encoders=True)
     preds = []
     for model in encoders:
-        result = train_single(gold, model, vocab, frozen)
-        preds.append(predict_labels(result.model, result.head, vocab, test.texts()))
-    head, _ = train_dual(gold, *encoders, vocab, frozen)
-    preds.append(predict_labels(encoders[0], head, vocab, test.texts(), second_model=encoders[1]))
+        head, _ = train_head(frozen_features(model, gold.texts(), vocab), label_ids(gold), config)
+        preds.append(predict_labels(model, head, vocab, test.texts()))
+    head, _ = train_dual(gold, *encoders, vocab, config)
+    test_x = [frozen_features(model, test.texts(), vocab) for model in encoders]
+    preds.append(head.predict(np.concatenate(test_x, axis=1)))
     return [
         evaluate(p, test.labels(), system=system, seed=config.seed).to_dict()
         for p, system in zip(preds, ENGLISH_SYSTEMS)
@@ -350,18 +356,16 @@ class TestAblationEnglish:
         assert reports[1]["confusion"] != reports[0]["confusion"]
 
     def test_each_encoder_runs_once_per_corpus(self, monkeypatch):
-        recorders = {}
-        for module in (train_mod, evaluation_mod):
-            recorders[module] = ForwardRecorder(module.forward)
-            monkeypatch.setattr(module, "forward", recorders[module])
+        # Every frozen forward runs through train.frozen_features.
+        recorder = ForwardRecorder(train_mod.forward)
+        monkeypatch.setattr(train_mod, "forward", recorder)
+        monkeypatch.setattr(evaluation_mod, "forward", None)
         gold, weak, test, config, encoder_config = english_task(0)
         ablation_english(gold, weak, test, config, encoder_config)
 
-        def inference_rows(module):
-            recorders[module].assert_per_batch(FEATURE_BATCH)
-            return [rows for rows, _, _, train in recorders[module].calls if not train]
-
-        assert inference_rows(train_mod) == [FEATURE_BATCH, len(gold) - FEATURE_BATCH] * 2
-        assert inference_rows(evaluation_mod) == [FEATURE_BATCH, len(test) - FEATURE_BATCH] * 2
-        total = sum(inference_rows(train_mod)) + sum(inference_rows(evaluation_mod))
-        assert total == 2 * len(gold) + 2 * len(test)
+        recorder.assert_per_batch(FEATURE_BATCH)
+        inference_rows = [rows for rows, _, _, train in recorder.calls if not train]
+        gold_rows = [FEATURE_BATCH, len(gold) - FEATURE_BATCH]
+        test_rows = [FEATURE_BATCH, len(test) - FEATURE_BATCH]
+        assert inference_rows == gold_rows * 2 + test_rows * 2
+        assert sum(inference_rows) == 2 * len(gold) + 2 * len(test)

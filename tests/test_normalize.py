@@ -75,33 +75,6 @@ class TestNormalizeProperties:
         out = normalize("@USER THIS IS LOUD", config)
         assert out == "<user> this is loud"
 
-    def test_step_subset(self, config):
-        partial = NormalizationConfig(
-            steps=("user_url", "whitespace"),
-            emoji_map=config.emoji_map,
-            slang_map=config.slang_map,
-            lexicon=config.lexicon,
-        )
-        assert normalize("@USER brb #tag 12", partial) == "<user> brb #tag 12"
-
-    def test_rejects_unknown_step(self, config):
-        with pytest.raises(ValueError):
-            NormalizationConfig(
-                steps=("user_url", "stemming"),
-                emoji_map=config.emoji_map,
-                slang_map=config.slang_map,
-                lexicon=config.lexicon,
-            )
-
-    def test_rejects_duplicate_step(self, config):
-        with pytest.raises(ValueError):
-            NormalizationConfig(
-                steps=("emoji", "emoji"),
-                emoji_map=config.emoji_map,
-                slang_map=config.slang_map,
-                lexicon=config.lexicon,
-            )
-
 
 class TestMapEmoji:
     def test_simple_replacement(self):

@@ -25,10 +25,13 @@ from offlang.train import (
     _batch_cross_entropy,
     _check_divergence,
     adam_step,
+    frozen_features,
+    label_ids,
     label_index,
     load_train_checkpoint,
     save_train_checkpoint,
     train_dual,
+    train_head,
     train_single,
 )
 
@@ -208,12 +211,6 @@ class TestTrainSingle:
         with pytest.raises(DivergenceError):
             train_single(corpus, model, vocab, config)
 
-    def test_freeze_encoders_keeps_encoder_bytes(self):
-        corpus, vocab, model, config = trained_toy(seed=5)
-        config.freeze_encoders = True
-        result = train_single(corpus, model, vocab, config)
-        assert result.model.param_bytes() == model.param_bytes()
-
     def test_loss_trace_length(self):
         corpus, vocab, model, config = trained_toy(seed=6, epochs=3)
         result = train_single(corpus, model, vocab, config)
@@ -255,17 +252,11 @@ class TestTrainDual:
         singles, duals = [], []
         for seed in range(5):
             corpus, vocab, model_a, _, config = self.setup_models(seed=seed)
-            frozen = TrainConfig(
-                language=config.language, epochs=config.epochs, batch_size=config.batch_size,
-                learning_rate=config.learning_rate, seed=config.seed, freeze_encoders=True,
-            )
-            single = train_single(corpus, model_a, vocab, frozen)
-            preds = predict_labels(single.model, single.head, vocab, corpus.texts())
-            singles.append(sum(p == g for p, g in zip(preds, corpus.labels())) / len(corpus))
-
-            head, _ = train_dual(corpus, model_a, model_a.copy(), vocab, frozen)
-            preds = predict_labels(model_a, head, vocab, corpus.texts(), second_model=model_a)
-            duals.append(sum(p == g for p, g in zip(preds, corpus.labels())) / len(corpus))
+            x = frozen_features(model_a, corpus.texts(), vocab)
+            for accuracies, vectors in ((singles, x), (duals, np.concatenate([x, x], axis=1))):
+                head, _ = train_head(vectors, label_ids(corpus), config)
+                preds = head.predict(vectors)
+                accuracies.append(sum(p == g for p, g in zip(preds, corpus.labels())) / len(corpus))
         assert abs(median(singles) - median(duals)) <= 0.02
 
 
@@ -288,9 +279,9 @@ class TestPerBatchEncoding:
         assert len({length for _, length, _, _ in recorder.calls}) > 1
 
     def test_frozen_features(self, recorder):
-        corpus, vocab, model, config = trained_toy(epochs=1)
-        config.freeze_encoders = True
-        train_single(corpus, model, vocab, config)
+        corpus, vocab, model, _ = trained_toy(epochs=1)
+        x = frozen_features(model, corpus.texts(), vocab)
+        assert x.shape == (len(corpus), model.config.hidden_size)
         recorder.assert_per_batch(FEATURE_BATCH)
         assert [(rows, train) for rows, _, _, train in recorder.calls] == [
             (FEATURE_BATCH, False),
