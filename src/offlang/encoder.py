@@ -5,10 +5,16 @@ token + position embeddings followed by post-norm blocks of masked multi-head
 self-attention and a GELU feed-forward, all in float64 numpy with hand-written
 backward passes so training is exactly reproducible and gradients can be
 checked against finite differences.
+
+The feed-forward activation is BERT's exact GELU, x * Phi(x) with the normal
+CDF Phi(x) = (1 + erf(x / sqrt 2)) / 2. `erf` is `offlang.erf.erf`, a numpy
+port of fdlibm's s_erf.c; every result tests/test_erf.py samples is within
+1 ulp of a 60-digit reference.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -18,9 +24,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .corpus import Corpus
+from .erf import erf
 from .errors import EmptyCorpus
 
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>")
@@ -29,6 +35,7 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, USER_ID = range(5)
 _TOKEN_RE = re.compile(r"\[sep\]|<user>|\w+|[^\w\s]")
 _LN_EPS = 1e-12
 _MASK_BIAS = -1e9
+_SQRT2 = math.sqrt(2.0)
 
 
 def tokenize(text: str) -> list[str]:
@@ -52,9 +59,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.token_to_id)
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
@@ -105,25 +109,20 @@ def build_vocab(corpus: Corpus, config: EncoderConfig) -> Vocabulary:
     return Vocabulary.from_tokens(tokens)
 
 
-def _token_ids(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
-    """[CLS] + tokens + [SEP], at most max_len ids; truncation keeps leading
-    tokens and always retains the final [SEP]."""
-    tokens = tokenize(text)[: max_len - 2]
-    return [CLS_ID] + [vocab.id_of(tok) for tok in tokens] + [SEP_ID]
-
-
 def encode_corpus(texts: list[str], vocab: Vocabulary, max_len: int):
     """Stack tokenized sequences into (n, T) id and mask matrices, right-padded
     to T = the longest row of `texts` ([CLS] and [SEP] included), so at most
-    max_len. Attention costs O(T^2), so callers encode one batch at a time
-    and each batch pays only for its own longest row."""
-    rows = [_token_ids(t, vocab, max_len) for t in texts]
-    length = max((len(row) for row in rows), default=0)
-    ids = np.full((len(rows), length), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(rows), length), dtype=np.float64)
-    for i, row in enumerate(rows):
-        ids[i, : len(row)] = row
-        mask[i, : len(row)] = 1.0
+    max_len. Each row is [CLS] + tokens + [SEP]; truncation keeps the leading
+    tokens and always the final [SEP], and a token outside the vocabulary is
+    [UNK]. Attention costs O(T^2), so callers encode one batch at a time and
+    each batch pays only for its own longest row."""
+    lookup = vocab.token_to_id.get
+    rows = [[lookup(tok, UNK_ID) for tok in tokenize(t)[: max_len - 2]] for t in texts]
+    lengths = np.array([len(row) + 2 for row in rows], dtype=np.int64)
+    mask = (np.arange(lengths.max(initial=0)) < lengths[:, None]).astype(np.float64)
+    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    # Row-major order, so the flat list fills each row's real slots in turn.
+    ids[mask != 0] = [i for row in rows for i in (CLS_ID, *row, SEP_ID)]
     return ids, mask
 
 
@@ -136,6 +135,22 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
     return x * std
 
 
+def param_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every encoder parameter; 2-D shapes are weights."""
+    h, ff = config.hidden_size, config.ffn
+    shapes = {"tok_emb": (vocab_size, h), "pos_emb": (config.max_len, h)}
+    for i in range(config.num_layers):
+        p = f"layer{i}."
+        for name in ("wq", "wk", "wv", "wo"):
+            shapes[p + "attn." + name] = (h, h)
+            shapes[p + "attn.b" + name[1]] = (h,)
+        shapes[p + "ln1.gain"] = shapes[p + "ln1.bias"] = (h,)
+        shapes[p + "ffn.w1"], shapes[p + "ffn.b1"] = (h, ff), (ff,)
+        shapes[p + "ffn.w2"], shapes[p + "ffn.b2"] = (ff, h), (h,)
+        shapes[p + "ln2.gain"] = shapes[p + "ln2.bias"] = (h,)
+    return shapes
+
+
 class EncoderModel:
     """Immutable-at-inference container of config plus named parameter tensors."""
 
@@ -145,26 +160,15 @@ class EncoderModel:
 
     @classmethod
     def initialize(cls, config: EncoderConfig, vocab_size: int) -> "EncoderModel":
-        """Truncated normal (sigma=0.02) weights, zero biases, unit layer-norm gains."""
+        """Truncated normal (sigma=0.02) weights, zero biases, unit layer-norm
+        gains, drawn in the order of param_shapes."""
         rng = np.random.default_rng(config.init_seed)
-        h, ff = config.hidden_size, config.ffn
-        params: dict[str, np.ndarray] = {
-            "tok_emb": _truncated_normal(rng, (vocab_size, h), 0.02),
-            "pos_emb": _truncated_normal(rng, (config.max_len, h), 0.02),
-        }
-        for i in range(config.num_layers):
-            p = f"layer{i}."
-            for name in ("wq", "wk", "wv", "wo"):
-                params[p + "attn." + name] = _truncated_normal(rng, (h, h), 0.02)
-                params[p + "attn.b" + name[1]] = np.zeros(h)
-            params[p + "ln1.gain"] = np.ones(h)
-            params[p + "ln1.bias"] = np.zeros(h)
-            params[p + "ffn.w1"] = _truncated_normal(rng, (h, ff), 0.02)
-            params[p + "ffn.b1"] = np.zeros(ff)
-            params[p + "ffn.w2"] = _truncated_normal(rng, (ff, h), 0.02)
-            params[p + "ffn.b2"] = np.zeros(h)
-            params[p + "ln2.gain"] = np.ones(h)
-            params[p + "ln2.bias"] = np.zeros(h)
+        params: dict[str, np.ndarray] = {}
+        for name, shape in param_shapes(config, vocab_size).items():
+            if len(shape) == 2:
+                params[name] = _truncated_normal(rng, shape, 0.02)
+            else:
+                params[name] = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
         return cls(config, params)
 
     def copy(self) -> "EncoderModel":
@@ -176,8 +180,11 @@ class EncoderModel:
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(GELU(x), Phi(x)) where GELU(x) = x * Phi(x) and Phi is the standard
-    normal CDF. Phi is returned so the backward pass needs no second erf."""
-    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    normal CDF, 0.5 * (1 + erf(x / sqrt 2)), computed in place in erf's new
+    array. Phi is returned so the backward pass needs no second erf."""
+    phi = erf(x / _SQRT2)
+    phi += 1.0
+    phi *= 0.5
     return x * phi, phi
 
 
@@ -401,13 +408,16 @@ def backward(model: EncoderModel, cache: dict, d_cls: np.ndarray) -> dict[str, n
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: deterministic bytes (no archive timestamps), a JSON
-# header carrying version/config/vocab plus a tensor index, then raw
-# little-endian payload.
+# Checkpoint container, version 2: deterministic bytes (no archive
+# timestamps). The file is the magic, the header's length (u64, little
+# endian), the header's SHA-256, the header (JSON: config, vocab, meta and a
+# tensor index of name, dtype, shape and SHA-256), then the tensors' raw
+# bytes back to back in index order. Every byte is covered by a digest.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"OFFLANG1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_MAGIC = b"OFFLANG%d" % CHECKPOINT_VERSION
+_PREAMBLE = len(_MAGIC) + 8 + 32  # magic, header length, header SHA-256
 
 
 @dataclass
@@ -438,7 +448,6 @@ def save_checkpoint(
     if extra_tensors:
         tensors.update(extra_tensors)
     index = []
-    offset = 0
     payload_parts = []
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
@@ -448,14 +457,11 @@ def save_checkpoint(
                 "name": name,
                 "dtype": str(arr.dtype),
                 "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": len(raw),
+                "sha256": hashlib.sha256(raw).hexdigest(),
             }
         )
         payload_parts.append(raw)
-        offset += len(raw)
     header = {
-        "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "vocab": list(vocab.id_to_token),
         "tensors": index,
@@ -471,6 +477,7 @@ def save_checkpoint(
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(len(header_bytes).to_bytes(8, "little"))
+            fh.write(hashlib.sha256(header_bytes).digest())
             fh.write(header_bytes)
             fh.write(b"".join(payload_parts))
         os.replace(tmp, path)
@@ -479,22 +486,42 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """A checkpoint file; anything but a whole checkpoint of this version
-    fails with a ValueError naming the file."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header_bytes, payload = fh.read(header_len), fh.read()
+    """A checkpoint file whose every byte matches its digest and whose
+    `model.` tensors are exactly the parameters its config and vocabulary
+    make (param_shapes), in float64. Anything else fails with one
+    ValueError line naming the file."""
+    data = Path(path).read_bytes()
+    if data[: len(_MAGIC)] == b"OFFLANG1":
+        raise ValueError(
+            f"{path}: bad checkpoint: version 1 is no longer read (it carries no "
+            f"SHA-256 digests); train again to write version {CHECKPOINT_VERSION}"
+        )
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    size_at = len(_MAGIC)
     try:
+        header_end = _PREAMBLE + int.from_bytes(data[size_at : size_at + 8], "little")
+        if header_end > len(data):
+            raise ValueError(f"the header runs past the end of the {len(data)}-byte file")
+        header_bytes = data[_PREAMBLE:header_end]
+        if hashlib.sha256(header_bytes).digest() != data[size_at + 8 : _PREAMBLE]:
+            raise ValueError("the header does not match its SHA-256")
         header = json.loads(header_bytes.decode("utf-8"))
         if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
             raise ValueError("the header is not a JSON object with a meta object")
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        tensors = {entry["name"]: _tensor(payload, entry) for entry in header["tensors"]}
+        payload = memoryview(data)[header_end:]
+        tensors, offset = {}, 0
+        for entry in header["tensors"]:
+            tensors[entry["name"]], offset = _tensor(payload, offset, entry)
+        if offset != len(payload):
+            raise ValueError(f"{len(payload) - offset} bytes follow the last tensor")
         config = EncoderConfig(**header["config"])
         vocab = Vocabulary.from_tokens(header["vocab"])
+        model = {name: t for name, t in tensors.items() if name.startswith("model.")}
+        expected = {f"model.{name}": s for name, s in param_shapes(config, vocab.size).items()}
+        reason = tensor_mismatch(model, expected)
+        if reason:
+            raise ValueError(f"{reason} for its config and {vocab.size}-token vocabulary")
     except KeyError as exc:
         raise ValueError(f"{path}: bad checkpoint: the header has no {exc} entry") from None
     except (TypeError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
@@ -502,13 +529,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(config=config, vocab=vocab, tensors=tensors, meta=header["meta"])
 
 
-def _tensor(payload: bytes, entry: dict) -> np.ndarray:
-    """The tensor an index entry names, its size checked against its shape
-    and dtype and its bytes against the payload."""
-    name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
-    dtype, size = np.dtype(entry["dtype"]), math.prod(entry["shape"])
-    if nbytes != size * dtype.itemsize:
-        raise ValueError(f"tensor {name}: {nbytes} bytes do not hold {entry['shape']} {dtype}")
-    if not 0 <= offset <= len(payload) - nbytes or nbytes < 0:
-        raise ValueError(f"tensor {name} lies outside the {len(payload)}-byte payload")
-    return np.frombuffer(payload, dtype, size, offset).reshape(entry["shape"]).copy()
+def _tensor(payload: memoryview, offset: int, entry: dict) -> tuple[np.ndarray, int]:
+    """The tensor an index entry names, starting at `offset` of the payload,
+    its bytes checked against the payload and its digest; and the offset
+    after it."""
+    name, dtype = entry["name"], np.dtype(entry["dtype"])
+    end = offset + math.prod(entry["shape"]) * dtype.itemsize
+    if end > len(payload):
+        raise ValueError(f"tensor {name} runs past the end of the {len(payload)}-byte payload")
+    raw = payload[offset:end]
+    if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+        raise ValueError(f"tensor {name} does not match its SHA-256")
+    return np.frombuffer(raw, dtype).reshape(entry["shape"]).copy(), end
+
+
+def tensor_mismatch(tensors: dict[str, np.ndarray], expected: dict[str, tuple]) -> str | None:
+    """Why `tensors` are not exactly the `expected` names and shapes in
+    float64, or None when they are."""
+    missing, unexpected = expected.keys() - tensors.keys(), tensors.keys() - expected.keys()
+    if missing:
+        return f"missing tensors {', '.join(sorted(missing))}"
+    if unexpected:
+        return f"unexpected tensors {', '.join(sorted(unexpected))}"
+    for name, shape in expected.items():
+        if tensors[name].shape != tuple(shape) or tensors[name].dtype != np.float64:
+            got = f"{list(tensors[name].shape)} {tensors[name].dtype}"
+            return f"tensor {name} is {got}, not {list(shape)} float64"
+    return None

@@ -23,6 +23,7 @@ from .encoder import (
     forward,
     load_checkpoint,
     save_checkpoint,
+    tensor_mismatch,
     _truncated_normal,
 )
 from .errors import DivergenceError, EmptyCorpus
@@ -300,9 +301,12 @@ class TrainCheckpoint:
 
 
 def load_train_checkpoint(path: str | Path) -> TrainCheckpoint:
+    """A train checkpoint: load_checkpoint's checks, and besides the encoder
+    exactly a head.w of (hidden_size, 2) and a head.b of (2,)."""
     ckpt: Checkpoint = load_checkpoint(path)
-    for name in ("head.w", "head.b"):
-        if name not in ckpt.tensors:
-            raise ValueError(f"{path}: checkpoint has no {name} tensor")
+    head_tensors = {k: v for k, v in ckpt.tensors.items() if not k.startswith("model.")}
+    reason = tensor_mismatch(head_tensors, {"head.w": (ckpt.config.hidden_size, 2), "head.b": (2,)})
+    if reason:
+        raise ValueError(f"{path}: bad checkpoint: {reason}")
     head = ClassifierHead(w=ckpt.tensors["head.w"], b=ckpt.tensors["head.b"])
     return TrainCheckpoint(model=ckpt.model(), vocab=ckpt.vocab, head=head, meta=ckpt.meta)

@@ -1,8 +1,18 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import offlang
 from offlang.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, emit_report_table, main
 from offlang.corpus import (
     Corpus,
@@ -76,17 +86,33 @@ class TestExitCodes:
 
     @staticmethod
     def _edit_header(data: bytes, edit) -> bytes:
+        """The checkpoint with its header edited and its header digest made to
+        match, so that the checks behind the digest see the edit."""
         size = int.from_bytes(data[8:16], "little")
-        header = json.loads(data[16 : 16 + size])
+        header = json.loads(data[48 : 48 + size])
         edit(header)
         raw = json.dumps(header).encode("utf-8")
-        return data[:8] + len(raw).to_bytes(8, "little") + raw + data[16 + size :]
+        digest = hashlib.sha256(raw).digest()
+        return data[:8] + len(raw).to_bytes(8, "little") + digest + raw + data[48 + size :]
 
-    @pytest.mark.parametrize(
-        "damage",
-        ["cut_in_half", "first_40_bytes", "header_byte_ff", "version_2", "short_tensor",
-         "misplaced_tensor", "meta_not_an_object", "no_vocab"],
-    )
+    # Each damage and the reason its one-line error gives.
+    DAMAGE = {
+        "cut_in_half": "runs past the end of the",
+        "first_40_bytes": "the header runs past the end of the 40-byte file",
+        "header_byte_ff": "the header does not match its SHA-256",
+        "version_1": "version 1 is no longer read",
+        "short_tensor": "tensor head.b does not match its SHA-256",
+        "misplaced_tensor": "tensor head.w does not match its SHA-256",
+        "meta_not_an_object": "the header is not a JSON object with a meta object",
+        "no_vocab": "the header has no 'vocab' entry",
+        "payload_byte_flipped": "tensor model.tok_emb does not match its SHA-256",
+        "trailing_byte": "1 bytes follow the last tensor",
+        "head_only": "bytes follow the last tensor",
+        "head_relabelled": "tensor head.w is [4, 4] float64, not [8, 2] float64",
+        "extra_tensor": "unexpected tensors head.z",
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
     def test_damaged_checkpoint_names_the_file(self, workspace, capsys, damage):
         corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
         config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
@@ -96,18 +122,33 @@ class TestExitCodes:
         save_train_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab, head)
         data = path.read_bytes()
 
-        def first_tensor(**fields):
-            return lambda header: header["tensors"][0].update(fields)
+        def tensors(edit):
+            return lambda header: header.update(tensors=edit(header["tensors"]))
+
+        def relabel(name, shape):
+            return tensors(lambda index: [
+                dict(e, shape=shape) if e["name"] == name else e for e in index
+            ])
 
         path.write_bytes({
             "cut_in_half": lambda: data[: len(data) // 2],
             "first_40_bytes": lambda: data[:40],
-            "header_byte_ff": lambda: data[:20] + b"\xff" + data[21:],
-            "version_2": lambda: self._edit_header(data, lambda h: h.update(version=2)),
-            "short_tensor": lambda: self._edit_header(data, first_tensor(nbytes=8)),
-            "misplaced_tensor": lambda: self._edit_header(data, first_tensor(offset=len(data))),
+            "header_byte_ff": lambda: data[:60] + b"\xff" + data[61:],
+            "version_1": lambda: b"OFFLANG1" + data[8:],
+            "short_tensor": lambda: self._edit_header(data, relabel("head.b", [1])),
+            "misplaced_tensor": lambda: self._edit_header(
+                data, tensors(lambda index: [index[1], index[0], *index[2:]])),
             "meta_not_an_object": lambda: self._edit_header(data, lambda h: h.update(meta=[])),
             "no_vocab": lambda: self._edit_header(data, lambda h: h.pop("vocab")),
+            "payload_byte_flipped": lambda: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:],
+            "trailing_byte": lambda: data + b"\x00",
+            "head_only": lambda: self._edit_header(
+                data, tensors(lambda index: [e for e in index if e["name"].startswith("head.")])),
+            "head_relabelled": lambda: self._edit_header(data, relabel("head.w", [4, 4])),
+            "extra_tensor": lambda: self._edit_header(data, tensors(lambda index: [*index, {
+                "name": "head.z", "dtype": "float64", "shape": [1],
+                "sha256": hashlib.sha256(bytes(8)).hexdigest(),
+            }])) + bytes(8),
         }[damage]())
         code = run(
             "evaluate", "--checkpoint", path,
@@ -116,6 +157,7 @@ class TestExitCodes:
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert self.DAMAGE[damage] in err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -564,6 +606,66 @@ class TestTrainEvaluate:
         assert (workspace / "a" / "model.ckpt").read_bytes() == (workspace / "b" / "model.ckpt").read_bytes()
         assert (workspace / "a" / "loss_trace.csv").read_bytes() == (workspace / "b" / "loss_trace.csv").read_bytes()
         capsys.readouterr()
+
+    def test_train_and_evaluate_run_without_scipy(self, workspace):
+        # scipy is only a test dependency: a None entry in sys.modules makes
+        # any import of it fail, so both stages must run on numpy alone.
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from offlang.cli import main\n"
+            f"d = {str(workspace)!r}\n"
+            "code = main(['train', '--config', d + '/run.yaml', '--input', d + '/train.tsv',"
+            " '--out-dir', d + '/run']) or main(['evaluate', '--checkpoint', d + '/run/model.ckpt',"
+            " '--input', d + '/test.tsv', '--out-dir', d + '/eval'])\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(offlang.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (workspace / "eval" / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small train checkpoint and a test file, made once for the fuzz."""
+    d = tmp_path_factory.mktemp("fuzz")
+    save_labeled_tsv(mini_corpus("tr", 40, seed=5), d / "train.tsv")
+    save_labeled_tsv(mini_corpus("tr", 8, seed=6, split="test"), d / "test.tsv")
+    corpus = load_labeled_tsv(d / "train.tsv", language="tr")
+    config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
+    vocab = build_vocab(corpus, config)
+    head = ClassifierHead.initialize(8, seed=0)
+    save_train_checkpoint(d / "model.ckpt", EncoderModel.initialize(config, vocab.size), vocab, head)
+    return d
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["flip", "truncate", "extend"]),
+    at=st.floats(0.0, 1.0, exclude_max=True),
+    byte=st.integers(1, 255),
+    extra=st.binary(min_size=1, max_size=64),
+)
+def test_every_damaged_checkpoint_fails_in_one_line(trained, kind, at, byte, extra):
+    data = (trained / "model.ckpt").read_bytes()
+    i = int(at * len(data))
+    damaged = {
+        "flip": lambda: data[:i] + bytes([data[i] ^ byte]) + data[i + 1 :],
+        "truncate": lambda: data[:i],
+        "extend": lambda: data + extra,
+    }[kind]()
+    path = trained / "damaged.ckpt"
+    path.write_bytes(damaged)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run("evaluate", "--checkpoint", path, "--input", trained / "test.tsv",
+                   "--out-dir", trained / "o")
+    assert code == EXIT_RUNTIME, err.getvalue()
+    assert err.getvalue().startswith(f"error: {path}: ") and err.getvalue().count("\n") == 1
 
 
 class TestGridsearchCommand:

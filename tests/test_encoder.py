@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from helpers import ZERO_GRADIENT_FLOOR
 
@@ -71,7 +70,8 @@ class TestBuildVocab:
 
     def test_unknown_maps_to_unk(self):
         vocab = build_vocab(corpus_of(["a b"]), TINY)
-        assert vocab.id_of("zebra") == UNK_ID
+        ids, _ = encode_corpus(["a zebra"], vocab, max_len=8)
+        assert ids[0, 1:3].tolist() == [vocab.token_to_id["a"], UNK_ID]
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -82,7 +82,7 @@ class TestEncodeCorpus:
     def test_pads_to_longest_row(self):
         vocab = build_vocab(corpus_of(["a b c"]), TINY)
         ids, mask = encode_corpus(["a", "a b c", ""], vocab, max_len=8)
-        a, b, c = (vocab.id_of(t) for t in "abc")
+        a, b, c = (vocab.token_to_id[t] for t in "abc")
         assert ids.tolist() == [
             [CLS_ID, a, SEP_ID, PAD_ID, PAD_ID],
             [CLS_ID, a, b, c, SEP_ID],
@@ -99,6 +99,41 @@ class TestEncodeCorpus:
         assert ids[1, 0] == CLS_ID and ids[1, 127] == SEP_ID
         assert mask[1].sum() == 128
         assert mask[0].sum() == 3
+
+
+def loop_encode_corpus(texts, vocab, max_len):
+    """The row-by-row encode_corpus that the flat fill replaced, kept as its
+    reference."""
+    rows = [
+        [CLS_ID] + [vocab.token_to_id.get(t, UNK_ID) for t in tokenize(text)[: max_len - 2]]
+        + [SEP_ID]
+        for text in texts
+    ]
+    length = max((len(row) for row in rows), default=0)
+    ids = np.full((len(rows), length), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(rows), length), dtype=np.float64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+        mask[i, : len(row)] = 1.0
+    return ids, mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "zebra", "<user>", "[SEP]", "!", "A"]), max_size=12)
+        .map(" ".join),
+        max_size=6,
+    ),
+    max_len=st.integers(2, 10),
+)
+def test_encode_corpus_equals_the_row_loop(texts, max_len):
+    vocab = build_vocab(corpus_of(["a b c"]), TINY)
+    ids, mask = encode_corpus(texts, vocab, max_len)
+    ref_ids, ref_mask = loop_encode_corpus(texts, vocab, max_len)
+    assert ids.dtype == ref_ids.dtype and mask.dtype == ref_mask.dtype
+    assert ids.shape == ref_ids.shape and mask.shape == ref_mask.shape
+    assert ids.tobytes() == ref_ids.tobytes() and mask.tobytes() == ref_mask.tobytes()
 
 
 def tiny_model(seed=0, vocab_size=12, num_layers=1):
@@ -366,11 +401,12 @@ class TestPackedMatchesPadded:
 
 
 def _two_erf_gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + encoder_mod.erf(x / np.sqrt(2.0)))
 
 
 def _two_erf_gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    phi = 0.5 * (1.0 + encoder_mod.erf(x / np.sqrt(2.0)))
+    return phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
 class TestGelu:
@@ -402,7 +438,9 @@ class TestGelu:
 
         cls, grads = run()
         monkeypatch.setattr(
-            encoder_mod, "gelu", lambda x: (_two_erf_gelu(x), 0.5 * (1.0 + erf(x / np.sqrt(2.0))))
+            encoder_mod,
+            "gelu",
+            lambda x: (_two_erf_gelu(x), 0.5 * (1.0 + encoder_mod.erf(x / np.sqrt(2.0)))),
         )
         monkeypatch.setattr(encoder_mod, "gelu_grad", lambda x, phi: _two_erf_gelu_grad(x))
         ref_cls, ref_grads = run()
@@ -484,6 +522,24 @@ class TestCheckpoint:
         assert path.read_bytes() == saved
         assert load_checkpoint(path).model().param_bytes() == old.param_bytes()
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_missing_or_misshapen_parameters_are_rejected(self, tmp_path):
+        vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
+        model = tiny_model(vocab_size=vocab.size)
+        del model.params["pos_emb"]
+        save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        with pytest.raises(ValueError, match=r"m.ckpt: bad checkpoint: missing tensors model.pos_emb"):
+            load_checkpoint(tmp_path / "m.ckpt")
+        model = tiny_model(vocab_size=vocab.size + 1)
+        save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        with pytest.raises(ValueError, match=r"tensor model.tok_emb is \[7, 8\] float64, not \[6, 8\]"):
+            load_checkpoint(tmp_path / "m.ckpt")
+
+    def test_version_1_is_rejected_with_a_hint_to_retrain(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"OFFLANG1" + (10).to_bytes(8, "little") + b'{"version": 1}')
+        with pytest.raises(ValueError, match="old.ckpt: bad checkpoint: version 1 .* train again"):
+            load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
