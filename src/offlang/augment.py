@@ -20,13 +20,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol, TextIO
 
-from .corpus import Corpus, Label, LabeledExample
+from .corpus import Corpus, Label, LabeledExample, read_lines
 from .errors import (
     AugmentationFailed,
     EmptyCorpus,
     EmptyTranslation,
     InvalidPivots,
-    MalformedTranslationLine,
+    MalformedRow,
     ProviderUnavailable,
     TranslationNotFound,
     UnsupportedPair,
@@ -116,7 +116,7 @@ class MappingProvider:
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "MappingProvider":
-        return cls(_parse_translations(path, _decode(path, Path(path).read_bytes())))
+        return cls(_parse_translations(path))
 
     def translate(self, text: str, source: str, target: str) -> str:
         self.calls += 1
@@ -200,30 +200,17 @@ def _unescape(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), text)
 
 
-def _decode(path: str | Path, data: bytes) -> str:
-    """data as UTF-8 text with universal newlines; bytes that are not UTF-8
-    fail naming the path and the line they are on."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise MalformedTranslationLine(path, head.count(b"\n") + 1, "not valid UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _parse_translations(path: str | Path, text: str) -> dict[tuple[str, str, str], str]:
-    """(text, source, target) -> translation from the lines of a
-    `source_text<TAB>source<TAB>target<TAB>translation` TSV; blank lines are
-    skipped and a later line overrides an earlier one for the same triple."""
+def _parse_translations(path: str | Path, data: bytes | None = None):
+    """The {(text, source, target): translation} mapping from the lines of a
+    `source_text<TAB>source<TAB>target<TAB>translation` TSV (or of `data`, as
+    read_lines takes it); a later line overrides an earlier one for the same
+    triple."""
     entries: dict[tuple[str, str, str], str] = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line:
-            continue
+    for line_no, line in read_lines(path, data):
         fields = line.split("\t", 3)
         if len(fields) != 4:
-            raise MalformedTranslationLine(
-                path, lineno, f"expected 4 tab-separated fields, found {len(fields)}"
-            )
+            reason = f"expected 4 tab-separated fields, found {len(fields)}"
+            raise MalformedRow(line_no, reason, path)
         source_text, source, target, translation = fields
         entries[(_unescape(source_text), source, target)] = _unescape(translation)
     return entries
@@ -251,14 +238,16 @@ class TranslationCache:
             self._load()
 
     def _load(self) -> None:
+        # Read and decoded in one piece, not streamed: its entries all stay
+        # in memory anyway, and a process that never frees a block of a few
+        # MiB keeps glibc's mmap threshold at 128 KiB, so every larger numpy
+        # temporary of a later toy-model `evaluate` faults in fresh pages.
         data = self.path.read_bytes()
         end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        self._complete_bytes = end if end < len(data) else None
+        self._entries = _parse_translations(self.path, data[:end])
         if end < len(data):
-            logger.warning(
-                "%s: dropping a torn last line (%d bytes)", self.path, len(data) - end
-            )
-            self._complete_bytes = end
-        self._entries = _parse_translations(self.path, _decode(self.path, data[:end]))
+            logger.warning("%s: dropping a torn last line (%d bytes)", self.path, len(data) - end)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -317,7 +306,7 @@ def translate(
         raise UnsupportedPair(source, target)
     translation = provider.translate(text, source, target)
     if not translation:
-        raise EmptyTranslation(text, source, target)
+        raise EmptyTranslation(source, target)
     if cache is not None:
         cache.put(text, source, target, translation)
     return translation

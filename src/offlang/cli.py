@@ -37,6 +37,7 @@ from .augment import (
 )
 from .corpus import (
     Corpus,
+    atomic_write,
     corpus_stats,
     load_labeled_tsv,
     load_scored_tsv,
@@ -131,13 +132,8 @@ def _write_manifest(
         },
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -398,15 +394,15 @@ def emit_report_table(reports: list[EvalReport], layout: str) -> str:
 
 
 def _write_reports(out_dir: Path, reports: list[EvalReport], layout: str) -> list[Path]:
-    artifacts = []
-    for i, report in enumerate(reports):
-        path = out_dir / f"report_{i}_{report.system.strip('+-').replace(' ', '_')}.json"
-        path.write_text(report.to_json(), encoding="utf-8")
-        artifacts.append(path)
-    table = out_dir / f"{layout}.tsv"
-    table.write_text(emit_report_table(reports, layout), encoding="utf-8")
-    artifacts.append(table)
-    return artifacts
+    files = {
+        out_dir / f"report_{i}_{report.system.strip('+-').replace(' ', '_')}.json": report.to_json()
+        for i, report in enumerate(reports)
+    }
+    files[out_dir / f"{layout}.tsv"] = emit_report_table(reports, layout)
+    for path, text in files.items():
+        with atomic_write(path) as fh:
+            fh.write(text)
+    return list(files)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -421,7 +417,8 @@ def cmd_stats(args, run: RunConfig) -> int:
         out = _out_dir(args)
         stats_path = out / "stats.json"
         counts = {"off": stats.off_count, "not": stats.not_count, "total": stats.total}
-        _write_json(stats_path, counts)
+        with atomic_write(stats_path) as fh:
+            fh.write(json.dumps(counts, indent=2) + "\n")
         _write_manifest(out, "stats", run.raw, 0, [path], [stats_path])
     return EXIT_OK
 
@@ -493,7 +490,7 @@ def cmd_train(args, run: RunConfig) -> int:
         meta={"language": run.language, "seed": run.seed, "normalize": run.normalize},
     )
     trace_path = out / "loss_trace.csv"
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with atomic_write(trace_path) as fh:
         fh.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(result.loss_trace, start=1):
             fh.write(f"{epoch},{loss!r}\n")
@@ -520,7 +517,8 @@ def cmd_evaluate(args, run: RunConfig) -> int:
     )
     out = _out_dir(args)
     report_path = out / "report.json"
-    report_path.write_text(report.to_json(), encoding="utf-8")
+    with atomic_write(report_path) as fh:
+        fh.write(report.to_json())
     _write_manifest(out, "evaluate", run.raw, report.seed, [ckpt_path, test_path], [report_path])
     print(f"macro-F1 {report.macro_f1:.4f} accuracy {report.accuracy:.4f}")
     return EXIT_OK
@@ -538,7 +536,7 @@ def cmd_gridsearch(args, run: RunConfig) -> int:
 
     out = _out_dir(args)
     cells_path = out / "grid_cells.tsv"
-    with open(cells_path, "w", encoding="utf-8") as fh:
+    with atomic_write(cells_path) as fh:
         fh.write("learning_rate\tbatch_size\tmacro_f1\taccuracy\tdiverged\n")
         for cell in result.cells:
             if cell.diverged:
@@ -550,13 +548,15 @@ def cmd_gridsearch(args, run: RunConfig) -> int:
                 )
     best_path = out / "best_config.json"
     best = result.best
-    _write_json(best_path, {
+    best_config = {
         "language": run.language,
         "learning_rate": best.learning_rate,
         "batch_size": best.batch_size,
         "epochs": best.epochs,
         "seed": run.seed,
-    })
+    }
+    with atomic_write(best_path) as fh:
+        fh.write(json.dumps(best_config, indent=2) + "\n")
     _write_manifest(out, "gridsearch", run.raw, run.seed, [path], [cells_path, best_path])
     print(
         f"best cell: lr={best.learning_rate:g} batch={best.batch_size}"
@@ -683,8 +683,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OffLangError, FileNotFoundError, ValueError) as exc:
+    except (OffLangError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        # A failed rename names the temporary file, then its target: report the target.
+        where = exc.filename2 or exc.filename
+        reason = exc.strerror or str(exc)
+        print(f"error: {reason}: {where}" if where else f"error: {reason}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -1,31 +1,32 @@
-"""Data model, TSV ingestion, dataset statistics, and stratified holdout splits.
+"""Data model, reading and writing files, dataset statistics, and stratified
+holdout splits.
 
-The on-disk format is UTF-8 TSV with an optional header line (detected when
-the first field is exactly "id"):
+Every input table of the toolkit is read line by line through read_lines, and
+every artifact is written through atomic_write. The corpus format is UTF-8
+TSV with an optional header line (detected when the first field is exactly
+"id"):
 
     id<TAB>text<TAB>label        labeled data, label in {OFF, NOT}
     id<TAB>text<TAB>confidence   scored data, confidence in [0, 1]
 
 Fields beyond the third are ignored (some source files carry extra subtask
-columns). Tabs inside the text field are therefore not representable.
+columns). Tabs and line ends inside an id or text are therefore not
+representable, and save_labeled_tsv refuses them.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import (
-    DuplicateId,
-    EmptyCorpus,
-    MalformedRow,
-    OutOfRangeConfidence,
-    UnknownLabel,
-)
+from .errors import DuplicateId, EmptyCorpus, MalformedRow, OutOfRangeConfidence, UnknownLabel
 
 class Label(Enum):
     OFF = "OFF"
@@ -36,7 +37,7 @@ class Label(Enum):
 CLASSES = (Label.OFF, Label.NOT)
 
 
-def parse_label(token: str, line: int, path=None) -> Label:
+def parse_label(token: str, line: int, path) -> Label:
     """Canonicalize a label token case-insensitively; anything else is an error."""
     upper = token.strip().upper()
     if upper == "OFF":
@@ -106,42 +107,70 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
+def read_lines(path: str | Path, data: bytes | None = None):
+    """Yield (line_number, line) for every non-blank line of the UTF-8 text
+    file at path, streamed; or of `data`, bytes already read from it,
+    decoded in one piece. A line ends at "\n", "\r\n" or "\r", which is not
+    part of it. The first line that is not valid UTF-8 fails as
+    `<path>: line N: not valid UTF-8`."""
+    try:
+        if data is None:
+            fh = open(path, encoding="utf-8", newline="")
+        else:
+            fh = io.StringIO(data.decode("utf-8"), newline="")
+        with fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\r\n")
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError:
+        raise MalformedRow(_first_undecodable_line(path), "not valid UTF-8", path) from None
+
+
+def _first_undecodable_line(path) -> int:
+    """The number, as read_lines counts lines, of the first line of path that
+    is not valid UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        return next(n for n, line in enumerate(fh, start=1) if _ESCAPED_BYTE.search(line))
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """A file handle ("w": UTF-8 text, "wb": bytes) whose contents replace
+    path when the block ends without an exception. They are written to a
+    temporary file beside path and renamed over it, so path never holds a
+    partial write; on an exception path is left as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _read_rows(path: str | Path, min_fields: int):
     """Yield (line_number, fields) for every data row, skipping a header. A
     row needs min_fields fields, a non-blank text (field 2) and an id (field
     1) that no earlier row has."""
     path = Path(path)
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if line_no == 1 and fields[0] == "id":
-                    continue
-                if len(fields) < min_fields:
-                    raise MalformedRow(
-                        line_no,
-                        f"expected >= {min_fields} tab-separated fields, got {len(fields)}",
-                        path,
-                    )
-                if not fields[1].strip():
-                    raise MalformedRow(line_no, "empty text field", path)
-                if fields[0] in seen:
-                    raise DuplicateId(fields[0], line_no, path)
-                seen.add(fields[0])
-                yield line_no, fields
-        except UnicodeDecodeError:
-            raise MalformedRow(_first_undecodable_line(path), "not valid UTF-8", path) from None
-
-
-def _first_undecodable_line(path: Path) -> int:
-    """The number, as _read_rows counts lines, of the first line of path that
-    is not valid UTF-8."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        return next(n for n, line in enumerate(fh, start=1) if _ESCAPED_BYTE.search(line))
+    for line_no, line in read_lines(path):
+        fields = line.split("\t")
+        if line_no == 1 and fields[0] == "id":
+            continue
+        if len(fields) < min_fields:
+            reason = f"expected >= {min_fields} tab-separated fields, got {len(fields)}"
+            raise MalformedRow(line_no, reason, path)
+        if not fields[1].strip():
+            raise MalformedRow(line_no, "empty text field", path)
+        if fields[0] in seen:
+            raise DuplicateId(fields[0], line_no, path)
+        seen.add(fields[0])
+        yield line_no, fields
 
 
 def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train") -> Corpus:
@@ -155,11 +184,14 @@ def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train
 
 def save_labeled_tsv(corpus: Corpus, path: str | Path) -> None:
     """Write headerless `id<TAB>text<TAB>label` rows (the loader detects and
-    skips a header when one is present)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    skips a header when one is present). An id or text holding a tab, CR or
+    LF fails naming the file and the example, and path is left as it was."""
+    with atomic_write(path) as fh:
         for ex in corpus:
+            fields = ex.id + ex.text
+            if "\t" in fields or "\n" in fields or "\r" in fields:
+                reason = "a tab, CR or LF in its id or text cannot be written as TSV"
+                raise ValueError(f"{path}: example {ex.id!r}: {reason}")
             fh.write(f"{ex.id}\t{ex.text}\t{ex.label.value}\n")
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, atomic_write
 from .erf import erf
 from .errors import EmptyCorpus
 
@@ -468,21 +467,12 @@ def save_checkpoint(
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Written beside the target and renamed over it, so a failed write never
-    # leaves a torn checkpoint at `path`.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(len(header_bytes).to_bytes(8, "little"))
-            fh.write(hashlib.sha256(header_bytes).digest())
-            fh.write(header_bytes)
-            fh.write(b"".join(payload_parts))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(len(header_bytes).to_bytes(8, "little"))
+        fh.write(hashlib.sha256(header_bytes).digest())
+        fh.write(header_bytes)
+        fh.write(b"".join(payload_parts))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -5,53 +5,32 @@ class OffLangError(Exception):
     """Base class for all toolkit errors."""
 
 
-def _located(path, line: int, reason: str) -> str:
-    where = "" if path is None else f"{path}: "
-    return f"{where}line {line}: {reason}"
-
-
 class MalformedRow(OffLangError):
-    """A TSV row that cannot be parsed (wrong arity, empty text, bad number,
-    bytes that are not UTF-8)."""
+    """A line of an input table that cannot be parsed (wrong arity, empty
+    text, bad number, bytes that are not UTF-8): a labeled or scored TSV, a
+    translation file or cache journal, or a normalization table."""
 
-    def __init__(self, line: int, reason: str, path=None):
-        super().__init__(_located(path, line, reason))
+    def __init__(self, line: int, reason: str, path):
+        super().__init__(f"{path}: line {line}: {reason}")
         self.line = line
-        self.reason = reason
         self.path = path
 
 
 class UnknownLabel(MalformedRow):
     """A label token that is neither OFF nor NOT (case-insensitively)."""
 
-    def __init__(self, line: int, token: str, path=None):
+    def __init__(self, line: int, token: str, path):
         super().__init__(line, f"unknown label token {token!r}", path)
-        self.token = token
 
 
-class MalformedTranslationLine(OffLangError):
-    """A line of a translation file or cache journal that cannot be parsed."""
-
-    def __init__(self, path, line: int, reason: str):
-        super().__init__(f"{path}: line {line}: {reason}")
-        self.path = path
-        self.line = line
-        self.reason = reason
-
-
-class DuplicateId(OffLangError):
-    def __init__(self, example_id: str, line: int | None = None, path=None):
-        reason = f"duplicate example id {example_id!r}"
-        super().__init__(reason if line is None else _located(path, line, reason))
-        self.example_id = example_id
-        self.line = line
-        self.path = path
+class DuplicateId(MalformedRow):
+    def __init__(self, example_id: str, line: int, path):
+        super().__init__(line, f"duplicate example id {example_id!r}", path)
 
 
 class OutOfRangeConfidence(MalformedRow):
-    def __init__(self, line: int, value: float, path=None):
+    def __init__(self, line: int, value: float, path):
         super().__init__(line, f"confidence {value} outside [0, 1]", path)
-        self.value = value
 
 
 class EmptyCorpus(OffLangError):
@@ -84,18 +63,11 @@ class ProviderUnavailable(TranslationError):
 class UnsupportedPair(TranslationError):
     def __init__(self, source: str, target: str):
         super().__init__(f"language pair {source}->{target} not supported")
-        self.source = source
-        self.target = target
 
 
 class EmptyTranslation(TranslationError):
-    def __init__(self, text: str, source: str, target: str):
-        super().__init__(
-            f"provider returned an empty translation for {source}->{target}"
-        )
-        self.text = text
-        self.source = source
-        self.target = target
+    def __init__(self, source: str, target: str):
+        super().__init__(f"provider returned an empty translation for {source}->{target}")
 
 
 class TranslationNotFound(TranslationError):
@@ -108,7 +80,6 @@ class AugmentationFailed(OffLangError):
     def __init__(self, pivot: str, cause: Exception):
         super().__init__(f"augmentation failed on pivot {pivot!r}: {cause}")
         self.pivot = pivot
-        self.cause = cause
 
 
 class DivergenceError(OffLangError):
@@ -118,9 +89,6 @@ class DivergenceError(OffLangError):
 class ArityMismatch(OffLangError):
     def __init__(self, layout: str, expected: int, got: int):
         super().__init__(f"layout {layout!r} needs {expected} reports, got {got}")
-        self.layout = layout
-        self.expected = expected
-        self.got = got
 
 
 class ConfigError(OffLangError):

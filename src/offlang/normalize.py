@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .corpus import read_lines
+from .errors import MalformedRow
+
 MAX_SEGMENT_WORD_LEN = 24
 # Distinct hashtag chunks remembered per lexicon; the memo is cleared when full.
 SEGMENT_MEMO_SIZE = 65536
@@ -49,16 +52,24 @@ def is_emoji_codepoint(ch: str) -> bool:
     return ch in _EMOJI_CHARS
 
 
-def _load_two_column_tsv(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            key, value = line.split("\t", 1)
-            out[key] = value
-    return out
+def _load_table(cls, path: str | Path, parse=str):
+    """cls of the {key: parse(value)} mapping that the `key<TAB>value` lines
+    of the table at path give, a later line overriding an earlier one. parse
+    is str, or int for counts. A bad line fails as `<path>: line N: <reason>`
+    and a table that cls rejects as `<path>: <reason>`."""
+    entries = {}
+    for line_no, line in read_lines(path):
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise MalformedRow(line_no, "expected 2 tab-separated fields, got 1", path)
+        try:
+            entries[key] = parse(value)
+        except ValueError:
+            raise MalformedRow(line_no, f"count {value!r} is not an integer", path) from None
+    try:
+        return cls(entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -80,10 +91,6 @@ class EmojiMap:
             self, "triggers", _EMOJI_CHARS | {k for k in self.entries if len(k) == 1}
         )
 
-    @classmethod
-    def from_tsv(cls, path: str | Path) -> "EmojiMap":
-        return cls(_load_two_column_tsv(path))
-
 
 @dataclass(frozen=True)
 class SlangMap:
@@ -99,10 +106,6 @@ class SlangMap:
                         f"contains the key {word!r}"
                     )
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_tsv(cls, path: str | Path) -> "SlangMap":
-        return cls(_load_two_column_tsv(path))
 
 
 class Lexicon:
@@ -131,10 +134,6 @@ class Lexicon:
             return math.log(count) - self._log_total
         return -2.0 * self._log_total - len(word) * self._log10
 
-    @classmethod
-    def from_tsv(cls, path: str | Path) -> "Lexicon":
-        return cls({w: int(c) for w, c in _load_two_column_tsv(path).items()})
-
 
 @dataclass(frozen=True)
 class NormalizationConfig:
@@ -147,9 +146,9 @@ class NormalizationConfig:
         cls, emoji_map_path: str | Path, slang_map_path: str | Path, lexicon_path: str | Path
     ) -> "NormalizationConfig":
         return cls(
-            emoji_map=EmojiMap.from_tsv(emoji_map_path),
-            slang_map=SlangMap.from_tsv(slang_map_path),
-            lexicon=Lexicon.from_tsv(lexicon_path),
+            emoji_map=_load_table(EmojiMap, emoji_map_path),
+            slang_map=_load_table(SlangMap, slang_map_path),
+            lexicon=_load_table(Lexicon, lexicon_path, int),
         )
 
     @classmethod

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Corpus, Label, LabeledExample, ScoredExample
-from .errors import DuplicateId, InsufficientClassSamples
+from .errors import InsufficientClassSamples
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,8 @@ def build_weak_corpus(scored: list[ScoredExample], config: WeakLabelConfig) -> C
 
     A single seeded generator draws the OFF sample first, then the NOT sample,
     then shuffles the combined output, so runs are reproducible byte for byte.
+    Ids are not checked here: load_scored_tsv rejects a repeated one.
     """
-    seen: set[str] = set()
-    for ex in scored:
-        if ex.id in seen:
-            raise DuplicateId(ex.id)
-        seen.add(ex.id)
-
     pools: dict[Label, list[ScoredExample]] = {Label.OFF: [], Label.NOT: []}
     for ex in scored:
         label = weak_label(ex, config)

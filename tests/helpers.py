@@ -1,8 +1,9 @@
-"""Shared test oracles: the finite-difference gradient check and a recorder
-of encoder forward calls."""
+"""Shared test oracles: the finite-difference gradient check, a recorder
+of encoder forward calls, and a torn write for the shared file writer."""
 
 import numpy as np
 
+import offlang.corpus as corpus_mod
 from offlang.encoder import EncoderConfig, EncoderModel, backward, forward
 from offlang.train import ClassifierHead, _batch_cross_entropy
 
@@ -114,3 +115,35 @@ class ForwardRecorder:
         for rows, length, longest, _ in self.calls:
             assert rows <= max_rows
             assert length == longest
+
+
+class TornWrites:
+    """A file that takes `room` more characters (or bytes), then fails the
+    write that would pass them with a full disk, after writing what fits."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(data[: self.room])
+            raise OSError(28, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+
+def tear_writes(monkeypatch, room: int) -> None:
+    """Make every file that offlang.corpus opens for writing (atomic_write's
+    temporary file) fail with a full disk after `room` characters or bytes."""
+
+    def torn_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return TornWrites(fh, room) if "w" in mode else fh
+
+    monkeypatch.setattr(corpus_mod, "open", torn_open, raising=False)

@@ -25,7 +25,7 @@ from offlang.errors import (
     EmptyCorpus,
     EmptyTranslation,
     InvalidPivots,
-    MalformedTranslationLine,
+    MalformedRow,
     ProviderUnavailable,
     TranslationNotFound,
     UnsupportedPair,
@@ -180,6 +180,19 @@ class TestTornJournal:
         assert len(cache) == 1
         assert path.stat().st_size == len(b"good\ten\tde\tgut\nhel") + 1  # untouched until a put
 
+    def test_torn_inside_a_character_is_cut_only_by_a_put(self, tmp_path):
+        # The complete lines span several of the decoder's chunks.
+        path = tmp_path / "cache.tsv"
+        complete = "".join(f"w{i}\ten\tfr\tü{i}\n" for i in range(2000)).encode("utf-8")
+        journal = complete + "torn\ten\tfr\tkötü".encode("utf-8")[:-1]
+        path.write_bytes(journal)
+        cache = TranslationCache(path)
+        assert len(cache) == 2000 and cache.get("w1999", "en", "fr") == "ü1999"
+        assert path.read_bytes() == journal
+        cache.put("new", "en", "fr", "neu")
+        cache.close()
+        assert path.read_bytes() == complete + b"new\ten\tfr\tneu\n"
+
     def test_lines_ending_in_cr_are_whole(self, tmp_path, caplog):
         path = tmp_path / "cache.tsv"
         journal = b"hi\ten\tfr\tH-FR\rhi\ten\tde\tH-DE\r"
@@ -198,7 +211,7 @@ class TestTornJournal:
     def test_malformed_complete_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("good\ten\tde\tgut\n\nbad\ten\n", encoding="utf-8")
-        with pytest.raises(MalformedTranslationLine) as info:
+        with pytest.raises(MalformedRow) as info:
             TranslationCache(path)
         assert info.value.line == 3
         assert str(info.value).startswith(f"{path}: line 3: ")
@@ -233,7 +246,7 @@ class TestTranslate:
     def test_mapping_provider_malformed_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "translations.tsv"
         path.write_text("merhaba\ttr\ten\thello\nbad\ttr\ten\n", encoding="utf-8")
-        with pytest.raises(MalformedTranslationLine, match=f"^{re.escape(str(path))}: line 2: "):
+        with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}: line 2: "):
             MappingProvider.from_tsv(path)
 
     def test_mapping_provider_supports_exactly_the_pairs_it_holds(self):
@@ -253,10 +266,10 @@ class TestTranslate:
         good = b"".join(b"w%d\ttr\ten\tt%d%s" % (i, i, newline) for i in range(3000))
         # A cache journal drops a last line that does not end in "\n".
         path.write_bytes(good + b"bad\ttr\ten\tb\xffd\n")
-        with pytest.raises(MalformedTranslationLine) as exc:
+        with pytest.raises(MalformedRow) as exc:
             MappingProvider.from_tsv(path)
         assert str(exc.value) == f"{path}: line 3001: not valid UTF-8"
-        with pytest.raises(MalformedTranslationLine) as exc:
+        with pytest.raises(MalformedRow) as exc:
             TranslationCache(path)
         assert str(exc.value) == f"{path}: line 3001: not valid UTF-8"
 

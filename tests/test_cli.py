@@ -13,6 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import offlang
+import offlang.cli as cli_mod
+import offlang.corpus as corpus_mod
+from helpers import tear_writes
 from offlang.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, emit_report_table, main
 from offlang.corpus import (
     Corpus,
@@ -57,6 +60,21 @@ def workspace(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+BUNDLED_TABLES = Path(offlang.__file__).parent / "data"
+TABLE_KEYS = ("emoji_map", "slang_map", "lexicon")
+
+
+def normalize_argv(tmp_path, key: str, table: Path) -> list:
+    """The command line of `normalize` on a two-row English file, with the
+    normalization table `key` read from `table` and the other two bundled."""
+    tables = {k: str(BUNDLED_TABLES / f"{k}.tsv") for k in TABLE_KEYS}
+    tables[key] = str(table)
+    config = tmp_path / "maps.yaml"
+    config.write_text(json.dumps({"normalize_maps": tables}), encoding="utf-8")
+    (tmp_path / "en.tsv").write_text("1\t#goodday :)\tNOT\n2\tbye 4u\tOFF\n", encoding="utf-8")
+    return ["normalize", "--config", config, "--input", tmp_path / "en.tsv", "--out-dir", tmp_path / "o"]
 
 
 class TestExitCodes:
@@ -332,10 +350,15 @@ class TestExitCodes:
              "not valid UTF-8"),
             ("augment", "--cache", b"hi\ten\tfr\tsalut\r\nbye\ten\tfr\tb\xffe\n",
              "not valid UTF-8"),
+            ("normalize", "emoji_map", b":)\tsmile\nno tab here\n",
+             "expected 2 tab-separated fields, got 1"),
+            ("normalize", "slang_map", b"u\tyou\r\nb\xffd\tx\r\n", "not valid UTF-8"),
+            ("normalize", "lexicon", b"good\t10\nday\tmany\n", "count 'many' is not an integer"),
         ],
         ids=[
             "stats", "weaklabel", "unknown_label", "duplicate_id", "short_row",
             "confidence_out_of_range", "scored_duplicate_id", "undecodable_translations", "undecodable_cache",
+            "emoji_map_without_tab", "undecodable_slang_map", "lexicon_count_not_a_number",
         ],
     )
     def test_undecodable_tsv_is_runtime_failure(
@@ -345,13 +368,59 @@ class TestExitCodes:
         path = tmp_path / "bad.tsv"
         path.write_bytes(data)
         (tmp_path / "en.tsv").write_text("1\thi\tNOT\n2\tbye\tOFF\n", encoding="utf-8")
-        argv = [flag, path] if flag == "--input" else [
-            "--input", tmp_path / "en.tsv", "--language", "en", "--pivots", "fr", flag, path,
-            "--provider", "file" if flag == "--translations" else "mock",
-        ]
-        code = run(command, *argv, "--out-dir", tmp_path / "o")
+        if command == "normalize":  # flag names the table's config key
+            code = run(*normalize_argv(tmp_path, flag, path))
+        else:
+            argv = [flag, path] if flag == "--input" else [
+                "--input", tmp_path / "en.tsv", "--language", "en", "--pivots", "fr", flag, path,
+                "--provider", "file" if flag == "--translations" else "mock",
+            ]
+            code = run(command, *argv, "--out-dir", tmp_path / "o")
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err == f"error: {path}: line 2: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "key, table, reason",
+        [
+            ("slang_map", "u\tyou\nyu\tu there\n",
+             "slang map violates closure: replacement for 'yu' contains the key 'u'"),
+            ("lexicon", "\n", "lexicon must be non-empty"),
+            ("lexicon", "good\t3\nday\t0\n", "lexicon counts must be positive"),
+        ],
+        ids=["slang_closure", "empty_lexicon", "non_positive_count"],
+    )
+    def test_bad_normalization_table_names_the_file(self, tmp_path, capsys, key, table, reason):
+        path = tmp_path / "table.tsv"
+        path.write_text(table, encoding="utf-8")
+        assert run(*normalize_argv(tmp_path, key, path)) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize("case", ["out_dir_under_a_file", "artifact_is_a_directory"])
+    def test_os_error_on_an_output_path_is_one_line(self, tmp_path, capsys, case):
+        (tmp_path / "in.tsv").write_text("1\thi\tNOT\n", encoding="utf-8")
+        if case == "out_dir_under_a_file":
+            out = where = tmp_path / "in.tsv" / "sub"
+            reason = "Not a directory"
+        else:
+            out, reason = tmp_path / "o", "Is a directory"
+            where = out / "normalized.tsv"
+            where.mkdir(parents=True)
+        assert run("normalize", "--input", tmp_path / "in.tsv", "--out-dir", out) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {reason}: {where}\n"
+        assert sorted(tmp_path.rglob(".*.tmp")) == []
+
+    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "in.tsv").write_text("1\thi\tNOT\n2\tbye\tOFF\n", encoding="utf-8")
+        argv = ("stats", "--input", tmp_path / "in.tsv", "--out-dir", tmp_path / "o")
+        assert run(*argv) == EXIT_OK
+        manifest = (tmp_path / "o" / "manifest.json").read_bytes()
+        # stats.json fits in the room; the manifest does not.
+        tear_writes(monkeypatch, 100)
+        assert run(*argv) == EXIT_RUNTIME
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert (tmp_path / "o" / "manifest.json").read_bytes() == manifest
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json", "stats.json"]
 
     def test_checkpoint_without_head_is_runtime_failure(self, workspace, capsys):
         corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
@@ -466,6 +535,28 @@ class TestAugmentCommand:
         assert [row.split("\t")[0] for row in rows] == ["1", "1-fr", "1-de", "2", "2-fr", "2-de"]
         assert len((tmp_path / "c.tsv").read_text(encoding="utf-8").splitlines()) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "entry, bad_id",
+        [("merhaba\ttr\ten\thello\\nthere\n", "1-en"), ("iyi\ttr\ten\tgood\\tday\n", "2-en")],
+        ids=["newline", "tab"],
+    )
+    def test_translation_that_tsv_cannot_hold_is_refused(self, tmp_path, capsys, entry, bad_id):
+        (tmp_path / "toy.tsv").write_text("1\tmerhaba\tNOT\n2\tiyi\tOFF\n", encoding="utf-8")
+        (tmp_path / "tr.tsv").write_text(
+            "merhaba\ttr\ten\thello\niyi\ttr\ten\tgood\n" + entry, encoding="utf-8"
+        )
+        code = run(
+            "augment", "--input", tmp_path / "toy.tsv", "--language", "tr", "--provider", "file",
+            "--translations", tmp_path / "tr.tsv", "--pivots", "en", "--out-dir", tmp_path / "out",
+        )
+        assert code == EXIT_RUNTIME
+        out = tmp_path / "out" / "augmented.tsv"
+        assert capsys.readouterr().err == (
+            f"error: {out}: example {bad_id!r}: a tab, CR or LF in its id or text "
+            f"cannot be written as TSV\n"
+        )
+        assert list(out.parent.iterdir()) == []
 
     def test_source_language_in_pivots_rejected(self, tmp_path, capsys):
         (tmp_path / "en.tsv").write_text("1\thello\tNOT\n", encoding="utf-8")
@@ -643,29 +734,100 @@ def trained(tmp_path_factory):
     return d
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+# One damage to a file's bytes: a byte flipped, the file cut short, or bytes
+# appended, at a fraction `at` of its length.
+DAMAGE = dict(
     kind=st.sampled_from(["flip", "truncate", "extend"]),
     at=st.floats(0.0, 1.0, exclude_max=True),
     byte=st.integers(1, 255),
     extra=st.binary(min_size=1, max_size=64),
 )
-def test_every_damaged_checkpoint_fails_in_one_line(trained, kind, at, byte, extra):
-    data = (trained / "model.ckpt").read_bytes()
+
+
+def damaged(data: bytes, kind: str, at: float, byte: int, extra: bytes) -> bytes:
     i = int(at * len(data))
-    damaged = {
+    return {
         "flip": lambda: data[:i] + bytes([data[i] ^ byte]) + data[i + 1 :],
         "truncate": lambda: data[:i],
         "extend": lambda: data + extra,
     }[kind]()
-    path = trained / "damaged.ckpt"
-    path.write_bytes(damaged)
+
+
+def run_quietly(*argv) -> tuple[int, str]:
+    """run(*argv)'s exit code and what it printed on stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = run("evaluate", "--checkpoint", path, "--input", trained / "test.tsv",
-                   "--out-dir", trained / "o")
-    assert code == EXIT_RUNTIME, err.getvalue()
-    assert err.getvalue().startswith(f"error: {path}: ") and err.getvalue().count("\n") == 1
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**DAMAGE)
+def test_every_damaged_checkpoint_fails_in_one_line(trained, kind, at, byte, extra):
+    path = trained / "damaged.ckpt"
+    path.write_bytes(damaged((trained / "model.ckpt").read_bytes(), kind, at, byte, extra))
+    code, err = run_quietly("evaluate", "--checkpoint", path, "--input", trained / "test.tsv",
+                            "--out-dir", trained / "o")
+    assert code == EXIT_RUNTIME, err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """A valid file of every input table kind, for the input fuzz."""
+    d = tmp_path_factory.mktemp("tables")
+    rows = [f"{i}\ttweet {i} :) #goodday\t{'OFF' if i % 3 else 'NOT'}" for i in range(12)]
+    (d / "labeled.tsv").write_text("id\ttext\tlabel\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    scored = [f"s{i}\tscored tweet {i}\t{i / 39:.3f}" for i in range(40)]
+    (d / "scored.tsv").write_text("\n".join(scored) + "\n", encoding="utf-8")
+    (d / "en.tsv").write_text("1\thi\tNOT\n2\tbye\tOFF\n", encoding="utf-8")
+    (d / "translations.tsv").write_text("hi\ten\tfr\tsalut\r\nbye\ten\tfr\tau revoir\r\n", encoding="utf-8")
+    (d / "journal.tsv").write_text("hi\ten\tfr\tsalut\nbye\ten\tfr\tà plus\n", encoding="utf-8")
+    for key in TABLE_KEYS:
+        (d / f"{key}.tsv").write_bytes((BUNDLED_TABLES / f"{key}.tsv").read_bytes())
+    return d
+
+
+INPUT_KINDS = ["labeled", "scored", "translations", "journal", *TABLE_KEYS]
+
+
+@pytest.mark.parametrize("input_kind", INPUT_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(**DAMAGE)
+def test_every_damaged_input_table_ends_in_at_most_one_line(
+    tables, tmp_path, input_kind, kind, at, byte, extra
+):
+    path = tmp_path / f"{input_kind}.tsv"
+    path.write_bytes(damaged((tables / f"{input_kind}.tsv").read_bytes(), kind, at, byte, extra))
+    out = ("--out-dir", tmp_path / "o")
+    augment = ("augment", "--input", tables / "en.tsv", "--language", "en", "--pivots", "fr", *out)
+    argv = {
+        "labeled": ("stats", "--input", path, *out),
+        "scored": ("weaklabel", "--input", path, "--per-class", "3", *out),
+        "translations": (*augment, "--provider", "file", "--translations", path),
+        "journal": (*augment, "--provider", "mock", "--cache", path),
+    }.get(input_kind) or normalize_argv(tmp_path, input_kind, path)
+    code, err = run_quietly(*argv)
+    assert code in (EXIT_OK, EXIT_RUNTIME), err
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert code == EXIT_OK or err.startswith("error: "), err
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    # perfbench/layers.py wraps these names by attribute; a renamed or moved
+    # one would break only the benchmark's traced runs.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import layers
+    from spans import Patcher, Tracer
+
+    patcher = Patcher()
+    try:
+        layers.install(Tracer(), patcher)
+        assert cli_mod.load_labeled_tsv is not corpus_mod.load_labeled_tsv
+    finally:
+        patcher.restore()
+    assert cli_mod.load_labeled_tsv is corpus_mod.load_labeled_tsv
 
 
 class TestGridsearchCommand:

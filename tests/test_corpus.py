@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import tear_writes
 from offlang.corpus import (
     Corpus,
     CorpusStats,
@@ -87,6 +88,34 @@ class TestLoadLabeled:
         save_labeled_tsv(corpus, out)
         again = load_labeled_tsv(out)
         assert again.examples == corpus.examples
+
+
+class TestSaveLabeled:
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_unrepresentable_field_is_refused(self, tmp_path, field, char):
+        bad_id, text = (f"b{char}2", "two words") if field == "id" else ("b", f"two{char}words")
+        corpus = Corpus("en", "train", [
+            LabeledExample("a", "fine", Label.OFF), LabeledExample(bad_id, text, Label.NOT),
+        ])
+        path = tmp_path / "out.tsv"
+        with pytest.raises(ValueError) as exc:
+            save_labeled_tsv(corpus, path)
+        assert str(exc.value) == (
+            f"{path}: example {bad_id!r}: a tab, CR or LF in its id or text cannot be written as TSV"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.tsv"
+        save_labeled_tsv(make_corpus(3, 3), path)
+        saved = path.read_bytes()
+        tear_writes(monkeypatch, 40)
+        with pytest.raises(OSError, match="No space"):
+            save_labeled_tsv(make_corpus(30, 30, seed=1), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
 
 
 class TestUndecodableBytes:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ZERO_GRADIENT_FLOOR
+from helpers import ZERO_GRADIENT_FLOOR, tear_writes
 
 import offlang.encoder as encoder_mod
 from offlang.corpus import Corpus, Label, LabeledExample
@@ -495,27 +495,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, old, vocab)
         saved = path.read_bytes()
-
-        class TornWrites:
-            """A file whose payload write stops half-way with a full disk."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                if len(data) > 1000:
-                    self.fh.write(data[: len(data) // 2])
-                    raise OSError(28, "No space left on device")
-                return self.fh.write(data)
-
-        torn_open = lambda *args, **kwargs: TornWrites(open(*args, **kwargs))  # noqa: E731
-        monkeypatch.setattr(encoder_mod, "open", torn_open, raising=False)
+        tear_writes(monkeypatch, len(saved) // 2)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(path, new, vocab)
         monkeypatch.undo()
