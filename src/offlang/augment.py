@@ -239,9 +239,8 @@ class TranslationCache:
 
     def _load(self) -> None:
         # Read and decoded in one piece, not streamed: its entries all stay
-        # in memory anyway, and a process that never frees a block of a few
-        # MiB keeps glibc's mmap threshold at 128 KiB, so every larger numpy
-        # temporary of a later toy-model `evaluate` faults in fresh pages.
+        # in memory anyway, and a torn last line is cut off the bytes before
+        # they are parsed.
         data = self.path.read_bytes()
         end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
         self._complete_bytes = end if end < len(data) else None

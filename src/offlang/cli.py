@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import hashlib
 import json
@@ -64,6 +65,21 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 
 API_KEY_ENV = "OFFLANG_API_KEY"
+
+# glibc's malloc settings for a CLI process (mallopt parameters from malloc.h).
+# Unset, glibc mmaps every block of 128 KiB or more and unmaps it on free, and
+# it raises that threshold only after the process frees such a block, so
+# encoder speed depended on what an earlier stage happened to free: each
+# batch's numpy temporaries were faulted in from fresh pages. An inference
+# batch at the default encoder (train.FEATURE_BATCH = 128 rows of up to 128
+# tokens, 4h = 256) holds float64 temporaries of up to 128 * 128 * 256 * 8
+# bytes = 32 MiB, which is also glibc's 64-bit maximum mmap threshold. The trim
+# threshold is twice that, the ratio glibc's own adjustment keeps: freed heap
+# top below 64 MiB stays resident for the next batch instead of going back to
+# the kernel.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 
 
 # --- config and manifest helpers ---------------------------------------------
@@ -515,6 +531,9 @@ def cmd_evaluate(args, run: RunConfig) -> int:
         config_fingerprint=_fingerprint(run.raw),
         seed=ckpt.meta.get("seed", 0),
     )
+    if len(set(preds)) == 1:
+        print(f"warning: the classifier collapsed: all {len(preds)} predictions are "
+              f"{preds[0].value}", file=sys.stderr)
     out = _out_dir(args)
     report_path = out / "report.json"
     with atomic_write(report_path) as fh:
@@ -672,7 +691,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_memory_on_heap() -> bool:
+    """Set glibc's mmap and trim thresholds once per process (see
+    MMAP_THRESHOLD); whether both were set. Off glibc, or on a libc without
+    mallopt, it does nothing."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (ValueError, OSError):  # no such name: not glibc
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 0 for a value it refuses, such as an mmap threshold
+    # above the maximum of a 32-bit glibc; glibc's defaults then stay.
+    return (
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+        and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory_on_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

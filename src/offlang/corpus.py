@@ -185,13 +185,18 @@ def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train
 def save_labeled_tsv(corpus: Corpus, path: str | Path) -> None:
     """Write headerless `id<TAB>text<TAB>label` rows (the loader detects and
     skips a header when one is present). An id or text holding a tab, CR or
-    LF fails naming the file and the example, and path is left as it was."""
+    LF, and an id an earlier row has, fail naming the file and the example,
+    and path is left as it was."""
+    seen: set[str] = set()
     with atomic_write(path) as fh:
         for ex in corpus:
             fields = ex.id + ex.text
             if "\t" in fields or "\n" in fields or "\r" in fields:
                 reason = "a tab, CR or LF in its id or text cannot be written as TSV"
                 raise ValueError(f"{path}: example {ex.id!r}: {reason}")
+            if ex.id in seen:
+                raise ValueError(f"{path}: example {ex.id!r}: an earlier example has the same id")
+            seen.add(ex.id)
             fh.write(f"{ex.id}\t{ex.text}\t{ex.label.value}\n")
 
 

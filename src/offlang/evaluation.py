@@ -148,8 +148,11 @@ def predict_labels(
     batch's caches alive (2-core x86_64, BLAS on 1 thread), `finetune`
     `infer_ex_per_s` moved -0.6% (3 pairs) and `peak_rss_mb` fell from 113
     to 97 MiB, and `ablate_en` and `tweets` `infer_ex_per_s` won 5 of 7
-    pairs each. A fresh interpreter that only predicts (h=32, T=16, 2,048
-    rows) still takes 7x the minor page faults and a third more time."""
+    pairs each. Dropping them is cheap because cli.main keeps freed blocks
+    on glibc's heap: in a fresh interpreter predicting 384 rows at h=64
+    (2-core x86_64, BLAS on 1 thread), a repeated call took a median 78 ms
+    and 13,042 minor page faults without that, and 56 ms and 0-1 faults
+    with it."""
     batch = train_mod.FEATURE_BATCH
     labels: list[Label] = []
     for start in range(0, len(texts), batch):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -558,6 +559,23 @@ class TestAugmentCommand:
         )
         assert list(out.parent.iterdir()) == []
 
+    def test_augmented_id_that_an_input_row_has_is_refused(self, tmp_path, capsys):
+        # Row 1's English copy is named 1-en, which row 2 already is.
+        (tmp_path / "toy.tsv").write_text("1\tmerhaba\tNOT\n1-en\tiyi\tOFF\n", encoding="utf-8")
+        out = tmp_path / "out" / "augmented.tsv"
+        out.parent.mkdir()
+        out.write_text("previous\n", encoding="utf-8")
+        code = run(
+            "augment", "--input", tmp_path / "toy.tsv", "--language", "tr", "--provider", "mock",
+            "--pivots", "en", "--out-dir", out.parent,
+        )
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: {out}: example '1-en': an earlier example has the same id\n"
+        )
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(p.name for p in out.parent.iterdir()) == ["augmented.tsv"]
+
     def test_source_language_in_pivots_rejected(self, tmp_path, capsys):
         (tmp_path / "en.tsv").write_text("1\thello\tNOT\n", encoding="utf-8")
         code = run(
@@ -687,6 +705,26 @@ class TestTrainEvaluate:
         report = json.loads((eval_dir / "report.json").read_text(encoding="utf-8"))
         assert 0.0 <= report["macro_f1"] <= 1.0
         assert "macro-F1" in capsys.readouterr().out
+
+    def test_collapsed_classifier_is_a_warning(self, workspace, capsys):
+        corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
+        config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
+        vocab = build_vocab(corpus, config)
+        # A head whose bias outweighs any CLS vector predicts NOT for every row.
+        head = ClassifierHead(w=np.zeros((8, 2)), b=np.array([-10.0, 10.0]))
+        ckpt = workspace / "model.ckpt"
+        save_train_checkpoint(ckpt, EncoderModel.initialize(config, vocab.size), vocab, head,
+                              meta={"language": "tr", "seed": 4})
+        code = run("evaluate", "--checkpoint", ckpt, "--input", workspace / "test.tsv",
+                   "--out-dir", workspace / "eval")
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "warning: the classifier collapsed: all 48 predictions are NOT\n"
+        assert "macro-F1" in captured.out
+        gold = load_labeled_tsv(workspace / "test.tsv", language="tr").labels()
+        expected = evaluate([Label.NOT] * 48, gold, system="model",
+                            config_fingerprint=cli_mod._fingerprint({}), seed=4)
+        assert (workspace / "eval" / "report.json").read_text(encoding="utf-8") == expected.to_json()
 
     def test_reruns_byte_identical(self, workspace, capsys):
         for name in ("a", "b"):
