@@ -5,22 +5,29 @@ a new sample is emitted whose text is the original concatenated with the
 translation across an explicit separator token. Labels are preserved, so the
 augmented set has (1 + #pivots) times the size and exactly scaled class
 counts. Only training splits should ever be augmented.
+
+augment_rows yields the augmented rows one input row at a time, so a caller
+that writes them as they come holds no augmented corpus. A translation
+cache keeps every entry of its journal in memory: that grows with the
+number of translated rows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import re
 import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Protocol, TextIO
 
-from .corpus import Corpus, Label, LabeledExample, read_lines
+from .corpus import Corpus, Label, LabeledExample, naming_os_errors, read_lines
 from .errors import (
     AugmentationFailed,
     EmptyCorpus,
@@ -37,7 +44,10 @@ logger = logging.getLogger(__name__)
 SEPARATOR = "[SEP]"
 DEFAULT_PIVOTS = ("en", "fr", "de")
 ENGLISH_SOURCE_PIVOTS = ("fr", "de", "es")
-IO_WORKERS = 4  # threads that augment_corpus gives a provider doing I/O
+IO_WORKERS = 4  # threads that augment_rows gives a provider doing I/O
+# Rows whose requests are in flight at once on those threads: enough to keep
+# them busy, few enough that the results waiting to be written stay small.
+IO_WINDOW = 16 * IO_WORKERS
 
 
 @dataclass(frozen=True)
@@ -135,7 +145,7 @@ class HttpProvider:
     backoff before raising ProviderUnavailable.
     """
 
-    does_io = True  # augment_corpus overlaps its requests on a thread pool
+    does_io = True  # augment_rows overlaps its requests on a thread pool
 
     def __init__(
         self,
@@ -200,19 +210,27 @@ def _unescape(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), text)
 
 
-def _parse_translations(path: str | Path, data: bytes | None = None):
+def _parse_translations(path: str | Path, size: int | None = None):
     """The {(text, source, target): translation} mapping from the lines of a
-    `source_text<TAB>source<TAB>target<TAB>translation` TSV (or of `data`, as
-    read_lines takes it); a later line overrides an earlier one for the same
-    triple."""
+    `source_text<TAB>source<TAB>target<TAB>translation` TSV (or of its first
+    `size` bytes, as read_lines takes it); a later line overrides an earlier
+    one for the same triple."""
     entries: dict[tuple[str, str, str], str] = {}
-    for line_no, line in read_lines(path, data):
+    # The keys share one string per language code, and consecutive lines
+    # with the same source text (a row's pivots, as augment writes them)
+    # share one string for it.
+    codes: dict[str, str] = {}
+    escaped = text = ""
+    for line_no, line in read_lines(path, size):
         fields = line.split("\t", 3)
         if len(fields) != 4:
             reason = f"expected 4 tab-separated fields, found {len(fields)}"
             raise MalformedRow(line_no, reason, path)
-        source_text, source, target, translation = fields
-        entries[(_unescape(source_text), source, target)] = _unescape(translation)
+        if fields[0] != escaped:
+            escaped, text = fields[0], _unescape(fields[0])
+        source = codes.setdefault(fields[1], fields[1])
+        target = codes.setdefault(fields[2], fields[2])
+        entries[(text, source, target)] = _unescape(fields[3])
     return entries
 
 
@@ -238,15 +256,13 @@ class TranslationCache:
             self._load()
 
     def _load(self) -> None:
-        # Read and decoded in one piece, not streamed: its entries all stay
-        # in memory anyway, and a torn last line is cut off the bytes before
-        # they are parsed.
-        data = self.path.read_bytes()
-        end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-        self._complete_bytes = end if end < len(data) else None
-        self._entries = _parse_translations(self.path, data[:end])
-        if end < len(data):
-            logger.warning("%s: dropping a torn last line (%d bytes)", self.path, len(data) - end)
+        # Streamed up to the end of the last complete line, so a torn last
+        # line is never decoded; only the entries stay in memory.
+        end, size = _complete_lines(self.path)
+        self._complete_bytes = end if end < size else None
+        self._entries = _parse_translations(self.path, end)
+        if end < size:
+            logger.warning("%s: dropping a torn last line (%d bytes)", self.path, size - end)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -260,8 +276,17 @@ class TranslationCache:
     def close(self) -> None:
         with self._lock:
             if self._journal is not None:
-                self._journal.close()
-                self._journal = None
+                journal, self._journal = self._journal, None
+                with naming_os_errors(self.path):  # closing flushes what a put could not
+                    journal.close()
+
+    def flush(self) -> None:
+        """Write out what a failed put left buffered; an OSError names the
+        journal."""
+        with self._lock:
+            if self._journal is not None:
+                with naming_os_errors(self.path):
+                    self._journal.flush()
 
     def get(self, text: str, source: str, target: str) -> str | None:
         return self._entries.get((text, source, target))
@@ -274,10 +299,15 @@ class TranslationCache:
             self._entries[key] = translation
             if self._journal is None:
                 self._journal = self._open_journal()
-            self._journal.write(
-                f"{_escape(text)}\t{source}\t{target}\t{_escape(translation)}\n"
-            )
-            self._journal.flush()
+            try:
+                self._journal.write(
+                    f"{_escape(text)}\t{source}\t{target}\t{_escape(translation)}\n"
+                )
+                self._journal.flush()
+            except OSError as exc:  # as naming_os_errors does, without its cost per entry
+                if exc.filename is None:
+                    exc.filename = str(self.path)
+                raise
 
     def _open_journal(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -285,6 +315,26 @@ class TranslationCache:
             os.truncate(self.path, self._complete_bytes)
             self._complete_bytes = None
         return open(self.path, "a", encoding="utf-8")
+
+
+TAIL_BLOCK = 1 << 16  # bytes read at a time while looking for the last line end
+
+
+def _complete_lines(path: Path) -> tuple[int, int]:
+    """(the length of the file at path up to the end of its last complete
+    line, its length). A line ends at "\n" or "\r"; the file is searched
+    from its end, one TAIL_BLOCK at a time."""
+    with open(path, "rb") as fh:
+        size = end = fh.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(0, end - TAIL_BLOCK)
+            fh.seek(start)
+            block = fh.read(end - start)
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r"))
+            if cut >= 0:
+                return start + cut + 1, size
+            end = start
+    return 0, size
 
 
 def translate(
@@ -348,20 +398,23 @@ def augment_example(
     return out
 
 
-def augment_corpus(
+def augment_rows(
     corpus: Corpus,
     pivots: PivotSet,
     provider: TranslationProvider,
     *,
     policy: Policy = Policy.SKIP_ON_ERROR,
     cache: TranslationCache | None = None,
-) -> Corpus:
-    """Original samples plus their per-pivot concatenations; with every
-    translation succeeding the result has (1 + #pivots) * n examples and the
-    class ratio preserved exactly. Output order is (original index, pivot
-    index). A provider that declares `does_io = True` (HttpProvider) is called
-    from IO_WORKERS threads; any other runs in the calling thread, so a cache
-    journal gains its entries in that same input order.
+) -> Iterator[LabeledExample]:
+    """Original samples plus their per-pivot concatenations, yielded in
+    (original index, pivot index) order as each original is translated;
+    with every translation succeeding there are (1 + #pivots) * n of them
+    and the class ratio is preserved exactly. An empty corpus and a pivot
+    set holding the source language fail at the call, before any
+    translation. A provider that declares `does_io = True` (HttpProvider) is
+    called from IO_WORKERS threads, IO_WINDOW rows at a time; any other runs
+    in the calling thread, so a cache journal gains its entries in that same
+    input order.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot augment an empty corpus")
@@ -372,15 +425,38 @@ def augment_corpus(
             example, pivots, provider, corpus.language, cache=cache, policy=policy
         )
 
-    if getattr(provider, "does_io", False):
-        with ThreadPoolExecutor(max_workers=IO_WORKERS) as pool:
-            augmented_lists = list(pool.map(work, corpus.examples))
-    else:
-        augmented_lists = [work(ex) for ex in corpus.examples]
+    return _augmented(corpus.examples, work, getattr(provider, "does_io", False), cache)
 
-    examples: list[LabeledExample] = []
-    for original, augmented in zip(corpus.examples, augmented_lists):
-        examples.append(original)
-        for aug in augmented:
-            examples.append(LabeledExample(aug.id, aug.rendered_text, aug.label))
-    return Corpus(corpus.language, corpus.split, examples)
+
+def _augmented(
+    originals: list[LabeledExample], work, pooled: bool, cache: TranslationCache | None
+) -> Iterator[LabeledExample]:
+    """Each original, then its augmented rows as work(original) gives them,
+    one window of IO_WINDOW originals at a time; pooled, a window's work
+    runs on IO_WORKERS threads, which closing the generator waits for."""
+    with ThreadPoolExecutor(IO_WORKERS) if pooled else contextlib.nullcontext() as pool:
+        mapped = pool.map if pooled else map
+        for start in range(0, len(originals), IO_WINDOW):
+            window = originals[start : start + IO_WINDOW]
+            for original, augmented in zip(window, mapped(work, window)):
+                yield original
+                for aug in augmented:
+                    yield LabeledExample(aug.id, aug.rendered_text, aug.label)
+    # A put that failed was skipped like a failed translation under
+    # SKIP_ON_ERROR; its entry fails the rows here, before a caller that
+    # writes them as they come keeps them.
+    if cache is not None:
+        cache.flush()
+
+
+def augment_corpus(
+    corpus: Corpus,
+    pivots: PivotSet,
+    provider: TranslationProvider,
+    *,
+    policy: Policy = Policy.SKIP_ON_ERROR,
+    cache: TranslationCache | None = None,
+) -> Corpus:
+    """The rows of augment_rows as a Corpus of the same language and split."""
+    rows = augment_rows(corpus, pivots, provider, policy=policy, cache=cache)
+    return Corpus(corpus.language, corpus.split, list(rows))

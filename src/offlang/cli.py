@@ -35,13 +35,16 @@ from .augment import (
     Policy,
     TranslationCache,
     augment_corpus,
+    augment_rows,
 )
 from .corpus import (
     Corpus,
+    LabeledExample,
     atomic_write,
     corpus_stats,
     load_labeled_tsv,
     load_scored_tsv,
+    read_labeled,
     save_labeled_tsv,
     split_holdout,
 )
@@ -57,7 +60,11 @@ from .evaluation import (
 )
 from .normalize import NormalizationConfig, normalize
 from .train import TrainConfig, load_train_checkpoint, save_train_checkpoint, train_single
-from .weaklabel import WeakLabelConfig, build_weak_corpus
+from .weaklabel import WeakLabelConfig, build_weak_corpus, weak_label_file
+
+# No command calls augment_corpus, load_scored_tsv or build_weak_corpus since
+# normalize, weaklabel and augment stream their rows, but perfbench/layers.py
+# traces them by their names on this module.
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -158,12 +165,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _normalized_corpus(corpus: Corpus, run: RunConfig) -> Corpus:
+def _normalized(examples, run: RunConfig):
+    """The examples with normalized texts, one at a time; the maps are
+    loaded at the call, before the first example is read."""
     norm_config = run.normalize_maps.load()
-    examples = [
-        type(ex)(ex.id, normalize(ex.text, norm_config), ex.label) for ex in corpus
-    ]
-    return Corpus(corpus.language, corpus.split, examples)
+    return (LabeledExample(ex.id, normalize(ex.text, norm_config), ex.label) for ex in examples)
+
+
+def _normalized_corpus(corpus: Corpus, run: RunConfig) -> Corpus:
+    return Corpus(corpus.language, corpus.split, list(_normalized(corpus, run)))
 
 
 # --- the config schema ----------------------------------------------------------
@@ -330,8 +340,8 @@ def _type_name(t) -> str:
 
 
 def _build(cls, name: str, **values):
-    """cls(**values), with a value that cls.__post_init__ rejects reported as
-    a ConfigError."""
+    """cls(**values), with a value that it rejects (a ValueError) reported
+    as a ConfigError."""
     try:
         return cls(**values)
     except ValueError as exc:
@@ -355,6 +365,9 @@ def _resolve(args) -> RunConfig:
     # wrongly reject the default pivot set for non-English files.
     top.setdefault("language", "und" if args.command == "augment" else "en")
     seed = top.setdefault("seed", 0)
+    # Every command checks the train values given, though only those that
+    # train build the section (below).
+    _build(TrainConfig.check, "train", **sections["train"])
     return RunConfig(
         raw=raw,
         # Built when called: only the commands that train need batch_size and
@@ -442,19 +455,16 @@ def cmd_stats(args, run: RunConfig) -> int:
 def cmd_normalize(args, run: RunConfig) -> int:
     path = _require_input(run.train_file, "input file")
     out = _out_dir(args)
-    corpus = load_labeled_tsv(path, language=run.language)
-    normalized = _normalized_corpus(corpus, run)
     out_path = out / "normalized.tsv"
-    save_labeled_tsv(normalized, out_path)
+    count = save_labeled_tsv(_normalized(read_labeled(path), run), out_path)
     _write_manifest(out, "normalize", run.raw, 0, [path], [out_path])
-    print(f"normalized {len(normalized)} examples -> {out_path}")
+    print(f"normalized {count} examples -> {out_path}")
     return EXIT_OK
 
 
 def cmd_weaklabel(args, run: RunConfig) -> int:
     path = _require_input(run.scored_file, "scored input file")
-    scored = load_scored_tsv(path)
-    corpus = build_weak_corpus(scored, run.weaklabel)
+    corpus = weak_label_file(path, run.weaklabel)
     out = _out_dir(args)
     out_path = out / "weak_train.tsv"
     save_labeled_tsv(corpus, out_path)
@@ -470,14 +480,16 @@ def cmd_augment(args, run: RunConfig) -> int:
     provider = _make_provider(run.augment)
     journal = run.augment.cache
     with TranslationCache(journal) if journal else contextlib.nullcontext() as cache:
-        augmented = augment_corpus(
-            corpus, pivots, provider, policy=Policy(run.augment.policy), cache=cache
-        )
-    out = _out_dir(args)
-    out_path = out / "augmented.tsv"
-    save_labeled_tsv(augmented, out_path)
+        policy = Policy(run.augment.policy)
+        rows = augment_rows(corpus, pivots, provider, policy=policy, cache=cache)
+        out = _out_dir(args)
+        out_path = out / "augmented.tsv"
+        # Closed before the journal is: a failed write waits here for the
+        # requests a pooled provider has in flight, and their entries.
+        with contextlib.closing(rows):
+            count = save_labeled_tsv(rows, out_path)
     _write_manifest(out, "augment", run.raw, 0, [path], [out_path])
-    print(f"augmented {len(corpus)} -> {len(augmented)} examples -> {out_path}")
+    print(f"augmented {len(corpus)} -> {count} examples -> {out_path}")
     return EXIT_OK
 
 

@@ -12,6 +12,12 @@ TSV with an optional header line (detected when the first field is exactly
 Fields beyond the third are ignored (some source files carry extra subtask
 columns). Tabs and line ends inside an id or text are therefore not
 representable, and save_labeled_tsv refuses them.
+
+read_labeled and read_confidences stream the rows of a file, and
+save_labeled_tsv writes the rows of any iterable as they come, so a stage
+that transforms row by row holds one row at a time. Each of them keeps the
+ids it has seen, to refuse a repeated one, so its memory still grows with
+the number of rows.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 import os
 import random
 import re
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,24 +114,57 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def read_lines(path: str | Path, data: bytes | None = None):
+def read_lines(path: str | Path, size: int | None = None):
     """Yield (line_number, line) for every non-blank line of the UTF-8 text
-    file at path, streamed; or of `data`, bytes already read from it,
-    decoded in one piece. A line ends at "\n", "\r\n" or "\r", which is not
-    part of it. The first line that is not valid UTF-8 fails as
-    `<path>: line N: not valid UTF-8`."""
+    file at path, streamed; with `size`, of its first `size` bytes only. A
+    line ends at "\n", "\r\n" or "\r", which is not part of it. The first
+    line that is not valid UTF-8 fails as `<path>: line N: not valid UTF-8`,
+    and a failed read as an OSError that names path."""
     try:
-        if data is None:
-            fh = open(path, encoding="utf-8", newline="")
-        else:
-            fh = io.StringIO(data.decode("utf-8"), newline="")
-        with fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")
-                if line:
-                    yield line_no, line
+        with naming_os_errors(path):
+            if size is None:
+                fh = open(path, encoding="utf-8", newline="")
+            else:
+                raw = io.BufferedReader(_Prefix(open(path, "rb"), size))
+                fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            with fh:
+                for line_no, line in enumerate(fh, start=1):
+                    line = line.rstrip("\r\n")
+                    if line:
+                        yield line_no, line
     except UnicodeDecodeError:
         raise MalformedRow(_first_undecodable_line(path), "not valid UTF-8", path) from None
+
+
+class _Prefix(io.RawIOBase):
+    """The first `size` bytes of the binary file fh, which it closes."""
+
+    def __init__(self, fh, size: int):
+        self.fh, self.left = fh, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.fh.readinto(memoryview(buffer)[: self.left])
+        self.left -= n
+        return n
+
+    def close(self) -> None:
+        self.fh.close()
+        super().close()
+
+
+@contextmanager
+def naming_os_errors(path: str | Path):
+    """Name path in an OSError that the block raises without a file name,
+    such as a failed read or write of a file that is already open."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
 
 
 def _first_undecodable_line(path) -> int:
@@ -139,13 +179,15 @@ def atomic_write(path: str | Path, mode: str = "w"):
     """A file handle ("w": UTF-8 text, "wb": bytes) whose contents replace
     path when the block ends without an exception. They are written to a
     temporary file beside path and renamed over it, so path never holds a
-    partial write; on an exception path is left as it was."""
+    partial write; on an exception path is left as it was. An OSError that
+    the block raises without a file name, such as a failed write, names
+    path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, mode, **text) as fh:
+        with naming_os_errors(path), open(tmp, mode, **text) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -173,23 +215,26 @@ def _read_rows(path: str | Path, min_fields: int):
         yield line_no, fields
 
 
+def read_labeled(path: str | Path) -> Iterator[LabeledExample]:
+    """Stream the `id<TAB>text<TAB>label` rows of path, in order."""
+    for line_no, fields in _read_rows(path, 3):
+        yield LabeledExample(fields[0], fields[1], parse_label(fields[2], line_no, path))
+
+
 def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train") -> Corpus:
     """Load `id<TAB>text<TAB>label` rows into a Corpus, preserving order."""
-    examples: list[LabeledExample] = []
-    for line_no, fields in _read_rows(path, 3):
-        ex_id, text, label_tok = fields[0], fields[1], fields[2]
-        examples.append(LabeledExample(ex_id, text, parse_label(label_tok, line_no, path)))
-    return Corpus(language=language, split=split, examples=examples)
+    return Corpus(language=language, split=split, examples=list(read_labeled(path)))
 
 
-def save_labeled_tsv(corpus: Corpus, path: str | Path) -> None:
+def save_labeled_tsv(examples: Iterable[LabeledExample], path: str | Path) -> int:
     """Write headerless `id<TAB>text<TAB>label` rows (the loader detects and
-    skips a header when one is present). An id or text holding a tab, CR or
-    LF, and an id an earlier row has, fail naming the file and the example,
-    and path is left as it was."""
+    skips a header when one is present), row by row as `examples` yields
+    them; the number of rows. An id or text holding a tab, CR or LF, and an
+    id an earlier row has, fail naming the file and the example, and path is
+    left as it was, as it is when `examples` raises."""
     seen: set[str] = set()
     with atomic_write(path) as fh:
-        for ex in corpus:
+        for ex in examples:
             fields = ex.id + ex.text
             if "\t" in fields or "\n" in fields or "\r" in fields:
                 reason = "a tab, CR or LF in its id or text cannot be written as TSV"
@@ -198,23 +243,48 @@ def save_labeled_tsv(corpus: Corpus, path: str | Path) -> None:
                 raise ValueError(f"{path}: example {ex.id!r}: an earlier example has the same id")
             seen.add(ex.id)
             fh.write(f"{ex.id}\t{ex.text}\t{ex.label.value}\n")
+    return len(seen)
+
+
+def _confidence(token: str, line_no: int, path) -> float:
+    """The confidence that a row's third field gives, validated to [0, 1]."""
+    try:
+        conf = float(token)
+    except ValueError:
+        raise MalformedRow(line_no, f"confidence {token!r} is not a number", path) from None
+    if math.isnan(conf) or math.isinf(conf):
+        raise MalformedRow(line_no, f"confidence {token!r} is not finite", path)
+    if not 0.0 <= conf <= 1.0:
+        raise OutOfRangeConfidence(line_no, conf, path)
+    return conf
+
+
+def _scored(fields: list[str], line_no: int, path) -> ScoredExample:
+    return ScoredExample(fields[0], fields[1], _confidence(fields[2], line_no, path))
 
 
 def load_scored_tsv(path: str | Path) -> list[ScoredExample]:
     """Load `id<TAB>text<TAB>confidence` rows; confidence validated to [0, 1]."""
-    out: list[ScoredExample] = []
+    return [_scored(fields, line_no, path) for line_no, fields in _read_rows(path, 3)]
+
+
+def read_confidences(path: str | Path) -> Iterator[tuple[int, float]]:
+    """Stream (line number, confidence) for the rows of the scored TSV at
+    path, in order, each row validated as load_scored_tsv validates it."""
     for line_no, fields in _read_rows(path, 3):
-        ex_id, text, conf_tok = fields[0], fields[1], fields[2]
-        try:
-            conf = float(conf_tok)
-        except ValueError:
-            raise MalformedRow(line_no, f"confidence {conf_tok!r} is not a number", path) from None
-        if math.isnan(conf) or math.isinf(conf):
-            raise MalformedRow(line_no, f"confidence {conf_tok!r} is not finite", path)
-        if not 0.0 <= conf <= 1.0:
-            raise OutOfRangeConfidence(line_no, conf, path)
-        out.append(ScoredExample(ex_id, text, conf))
-    return out
+        yield line_no, _confidence(fields[2], line_no, path)
+
+
+def read_scored_lines(path: str | Path, line_numbers) -> Iterator[tuple[int, ScoredExample]]:
+    """Stream (line number, example) for the rows of the scored TSV at path
+    on the given lines, in file order. Only their arity and confidence are
+    checked: it is meant for a file that read_confidences has validated."""
+    for line_no, line in read_lines(path):
+        if line_no in line_numbers:
+            fields = line.split("\t")
+            if len(fields) < 3:
+                raise MalformedRow(line_no, "expected >= 3 tab-separated fields", path)
+            yield line_no, _scored(fields, line_no, path)
 
 
 def _round_half_up(x: float) -> int:

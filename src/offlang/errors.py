@@ -37,6 +37,14 @@ class EmptyCorpus(OffLangError):
     """An operation that requires at least one example got none."""
 
 
+class InputChanged(OffLangError):
+    """An input file changed while a stage that reads it twice read it."""
+
+    def __init__(self, path):
+        super().__init__(f"{path}: changed while it was read; run the stage again")
+        self.path = path
+
+
 class InsufficientClassSamples(OffLangError):
     def __init__(self, label, available: int, requested: int):
         super().__init__(

@@ -63,8 +63,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        self.check(self.epochs, self.batch_size, self.learning_rate)
         if self.batch_size is None or self.learning_rate is None:
             if self.language not in LANGUAGE_DEFAULTS:
                 raise ValueError(
@@ -76,9 +75,17 @@ class TrainConfig:
                 self.batch_size = default_bs
             if self.learning_rate is None:
                 self.learning_rate = default_lr
-        if self.batch_size < 1:
+
+    @staticmethod
+    def check(
+        epochs: int | None = None, batch_size: int | None = None, learning_rate: float | None = None
+    ) -> None:
+        """Reject out-of-range values; None (not given) passes."""
+        if epochs is not None and epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
+        if learning_rate is not None and learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
 

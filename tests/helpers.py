@@ -1,11 +1,21 @@
 """Shared test oracles: the finite-difference gradient check, a recorder
-of encoder forward calls, and a torn write for the shared file writer."""
+of encoder forward calls, a torn write for the shared file writer, and the
+text stages as they ran before they streamed their rows."""
+
+import contextlib
+import random
 
 import numpy as np
 
+import offlang.cli as cli
 import offlang.corpus as corpus_mod
+from offlang.augment import Policy, TranslationCache, augment_example
+from offlang.corpus import Corpus, Label, LabeledExample, load_labeled_tsv, load_scored_tsv
 from offlang.encoder import EncoderConfig, EncoderModel, backward, forward
+from offlang.errors import EmptyCorpus, InsufficientClassSamples
+from offlang.normalize import normalize
 from offlang.train import ClassifierHead, _batch_cross_entropy
+from offlang.weaklabel import weak_label
 
 GRADCHECK_CONFIG = EncoderConfig(
     hidden_size=8, num_layers=1, num_heads=2, ffn_size=16,
@@ -147,3 +157,95 @@ def tear_writes(monkeypatch, room: int) -> None:
         return TornWrites(fh, room) if "w" in mode else fh
 
     monkeypatch.setattr(corpus_mod, "open", torn_open, raising=False)
+
+
+# --- the in-memory text stages ------------------------------------------------
+# normalize, weaklabel and augment as they were before they streamed: each
+# loads its whole input, builds the whole output corpus, then saves it. The
+# streamed commands must give the same bytes, exit code and error line.
+
+
+def in_memory_weak_corpus(scored, config) -> Corpus:
+    """Weak labeling by sampling the scored examples themselves."""
+    pools = {Label.OFF: [], Label.NOT: []}
+    for ex in scored:
+        label = weak_label(ex, config)
+        if label is not None:
+            pools[label].append(ex)
+    k = config.per_class_count
+    for label in (Label.OFF, Label.NOT):
+        if len(pools[label]) < k:
+            raise InsufficientClassSamples(label, len(pools[label]), k)
+    rng = random.Random(config.seed)
+    chosen = []
+    for label in (Label.OFF, Label.NOT):
+        for ex in rng.sample(pools[label], k):
+            chosen.append(LabeledExample(ex.id, ex.text, label))
+    rng.shuffle(chosen)
+    return Corpus(language="en", split="train", examples=chosen)
+
+
+def in_memory_augment_corpus(corpus, pivots, provider, *, policy, cache) -> Corpus:
+    """Augmentation of the whole corpus in the calling thread."""
+    if len(corpus) == 0:
+        raise EmptyCorpus("cannot augment an empty corpus")
+    pivots.validated_for(corpus.language)
+    examples = []
+    for original in corpus:
+        examples.append(original)
+        for aug in augment_example(
+            original, pivots, provider, corpus.language, cache=cache, policy=policy
+        ):
+            examples.append(LabeledExample(aug.id, aug.rendered_text, aug.label))
+    return Corpus(corpus.language, corpus.split, examples)
+
+
+def _in_memory_normalize(args, run) -> int:
+    path = cli._require_input(run.train_file, "input file")
+    out = cli._out_dir(args)
+    corpus = load_labeled_tsv(path, language=run.language)
+    norm_config = run.normalize_maps.load()
+    examples = [LabeledExample(ex.id, normalize(ex.text, norm_config), ex.label) for ex in corpus]
+    normalized = Corpus(corpus.language, corpus.split, examples)
+    corpus_mod.save_labeled_tsv(normalized, out / "normalized.tsv")
+    return cli.EXIT_OK
+
+
+def _in_memory_weaklabel(args, run) -> int:
+    path = cli._require_input(run.scored_file, "scored input file")
+    corpus = in_memory_weak_corpus(load_scored_tsv(path), run.weaklabel)
+    corpus_mod.save_labeled_tsv(corpus, cli._out_dir(args) / "weak_train.tsv")
+    return cli.EXIT_OK
+
+
+def _in_memory_augment(args, run) -> int:
+    path = cli._require_input(run.train_file, "input file")
+    corpus = load_labeled_tsv(path, language=run.language)
+    pivots = cli._pivot_set(run.augment, run.language)
+    provider = cli._make_provider(run.augment)
+    journal = run.augment.cache
+    with TranslationCache(journal) if journal else contextlib.nullcontext() as cache:
+        augmented = in_memory_augment_corpus(
+            corpus, pivots, provider, policy=Policy(run.augment.policy), cache=cache
+        )
+    corpus_mod.save_labeled_tsv(augmented, cli._out_dir(args) / "augmented.tsv")
+    return cli.EXIT_OK
+
+
+IN_MEMORY_COMMANDS = {
+    "normalize": _in_memory_normalize,
+    "weaklabel": _in_memory_weaklabel,
+    "augment": _in_memory_augment,
+}
+
+
+def run_in_memory(argv: list[str]) -> int:
+    """cli.main(argv), with normalize, weaklabel and augment run in memory
+    (they write their artifact, but no manifest)."""
+    saved = dict(cli.COMMANDS)
+    try:
+        for name, command in IN_MEMORY_COMMANDS.items():
+            cli.COMMANDS[name] = (command, *saved[name][1:])
+        return cli.main(argv)
+    finally:
+        cli.COMMANDS.update(saved)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from offlang.augment import (
+    TAIL_BLOCK,
     HttpProvider,
     MappingProvider,
     MockTaggingProvider,
@@ -189,6 +190,30 @@ class TestTornJournal:
         cache = TranslationCache(path)
         assert len(cache) == 2000 and cache.get("w1999", "en", "fr") == "ü1999"
         assert path.read_bytes() == journal
+        cache.put("new", "en", "fr", "neu")
+        cache.close()
+        assert path.read_bytes() == complete + b"new\ten\tfr\tneu\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_torn_line_longer_than_a_block_after_many_blocks(self, tmp_path, caplog, newline):
+        # The complete lines span many of the decoder's chunks and of the
+        # blocks read while looking for the last line end. The torn line is
+        # longer than a block and ends inside a character, and the edge of
+        # the last block falls inside a character too.
+        path = tmp_path / "cache.tsv"
+        complete = "".join(f"w{i}\ten\tfr\tçok güzel {i}{newline}" for i in range(20_000))
+        complete = complete.encode("utf-8")
+        torn = ("torn\ten\tfr\t" + "ü" * TAIL_BLOCK).encode("utf-8")[:-1]
+        path.write_bytes(complete + torn)
+        assert len(complete) > 8 * TAIL_BLOCK
+        assert (len(torn) - TAIL_BLOCK - len("torn\ten\tfr\t")) % 2 == 1  # inside a ü
+        with caplog.at_level(logging.WARNING, logger="offlang.augment"):
+            cache = TranslationCache(path)
+        assert f"torn last line ({len(torn)} bytes)" in caplog.text
+        assert len(cache) == 20_000
+        assert cache.get("w0", "en", "fr") == "çok güzel 0"
+        assert cache.get("w19999", "en", "fr") == "çok güzel 19999"
+        assert path.read_bytes() == complete + torn
         cache.put("new", "en", "fr", "neu")
         cache.close()
         assert path.read_bytes() == complete + b"new\ten\tfr\tneu\n"

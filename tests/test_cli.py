@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -276,11 +277,15 @@ class TestExitCodes:
             ("stats", "train: {epoch: 1}\n", "unknown config key train.epoch"),
             ("evaluate", "augment: {workers: 2}\n", "unknown config key augment.workers"),
             ("normalize", "weaklabel: {hi_threshold: 0.1}\n", "invalid weaklabel settings"),
+            ("stats", "train: {epochs: 0}\n", "invalid train settings: epochs must be >= 1, got 0"),
+            ("augment", "train: {learning_rate: 0}\n",
+             "invalid train settings: learning_rate must be positive"),
         ],
         ids=[
             "scalar_normalize_maps", "scalar_grid", "int_train_file", "string_rate",
             "holdout_above_one", "misspelt_section", "int_language", "string_normalize",
             "unknown_key_in_stats", "unknown_key_in_evaluate", "bad_section_in_normalize",
+            "zero_epochs_in_stats", "zero_rate_in_augment",
         ],
     )
     def test_every_command_checks_the_whole_file(self, workspace, capsys, command, text, message):
@@ -299,6 +304,14 @@ class TestExitCodes:
         assert message in err
         assert len(err.strip().splitlines()) == 1
         assert not (workspace / "o").exists()
+
+    def test_train_section_needs_no_language_defaults_outside_training(self, tmp_path, capsys):
+        (tmp_path / "in.tsv").write_text("1\thi\tNOT\n", encoding="utf-8")
+        (tmp_path / "run.yaml").write_text("language: xx\ntrain: {epochs: 2}\n", encoding="utf-8")
+        argv = ("--config", tmp_path / "run.yaml", "--input", tmp_path / "in.tsv")
+        assert run("stats", *argv) == EXIT_OK
+        assert run("train", *argv, "--out-dir", tmp_path / "o") == EXIT_CONFIG
+        assert "no defaults for language 'xx'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -410,6 +423,43 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {reason}: {where}\n"
         assert sorted(tmp_path.rglob(".*.tmp")) == []
 
+    @pytest.mark.parametrize("full", ["artifact", "journal", "journal_skip_on_error"])
+    def test_write_past_the_file_size_limit_names_the_file(self, tmp_path, full):
+        # The limit is set in the child only, as a full disk would stop it.
+        rows = "".join(f"{i}\tcümle numara {i}\t{'OFF' if i % 2 else 'NOT'}\n" for i in range(400))
+        (tmp_path / "in.tsv").write_text(rows, encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "augmented.tsv").write_text("previous\n", encoding="utf-8")
+        limit = 20_000
+        cache = []
+        if full != "artifact":  # a journal a few entries short of the limit
+            journal = tmp_path / "cache.tsv"
+            journal.write_text("".join(f"w{i}\ten\tfr\tx\n" for i in range(1500)), encoding="utf-8")
+            assert limit - 200 < journal.stat().st_size < limit
+            cache = ["--cache", str(journal)]
+        if full == "journal_skip_on_error":  # the failed puts are skipped, not the stage
+            cache += ["--policy", "skip_on_error"]
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        src = str(Path(offlang.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "offlang.cli", "augment", "--input", str(tmp_path / "in.tsv"),
+             "--language", "tr", "--provider", "mock", "--out-dir", str(out), *cache],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=limit_file_size,
+        )
+        assert proc.returncode == EXIT_RUNTIME
+        named = out / "augmented.tsv" if full == "artifact" else tmp_path / "cache.tsv"
+        *skipped, last = proc.stderr.splitlines()  # skip_on_error logs each skipped pivot
+        assert last == f"error: File too large: {named}"
+        assert all(line.startswith("skipping pivot ") for line in skipped)
+        assert bool(skipped) == (full == "journal_skip_on_error")
+        assert (out / "augmented.tsv").read_text(encoding="utf-8") == "previous\n"
+        assert sorted(p.name for p in out.iterdir()) == ["augmented.tsv"]
+
     def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "in.tsv").write_text("1\thi\tNOT\n2\tbye\tOFF\n", encoding="utf-8")
         argv = ("stats", "--input", tmp_path / "in.tsv", "--out-dir", tmp_path / "o")
@@ -419,7 +469,9 @@ class TestExitCodes:
         tear_writes(monkeypatch, 100)
         assert run(*argv) == EXIT_RUNTIME
         monkeypatch.undo()
-        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert capsys.readouterr().err == (
+            f"error: No space left on device: {tmp_path / 'o' / 'manifest.json'}\n"
+        )
         assert (tmp_path / "o" / "manifest.json").read_bytes() == manifest
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json", "stats.json"]
 
