@@ -33,6 +33,7 @@ from .errors import (
     EmptyCorpus,
     EmptyTranslation,
     InvalidPivots,
+    JournalWriteFailed,
     MalformedRow,
     ProviderUnavailable,
     TranslationNotFound,
@@ -280,34 +281,27 @@ class TranslationCache:
                 with naming_os_errors(self.path):  # closing flushes what a put could not
                     journal.close()
 
-    def flush(self) -> None:
-        """Write out what a failed put left buffered; an OSError names the
-        journal."""
-        with self._lock:
-            if self._journal is not None:
-                with naming_os_errors(self.path):
-                    self._journal.flush()
-
     def get(self, text: str, source: str, target: str) -> str | None:
         return self._entries.get((text, source, target))
 
     def put(self, text: str, source: str, target: str, translation: str) -> None:
+        """Record a translation and append it to the journal; a journal that
+        cannot be opened or written raises JournalWriteFailed naming it."""
         with self._lock:
             key = (text, source, target)
             if key in self._entries:
                 return
             self._entries[key] = translation
-            if self._journal is None:
-                self._journal = self._open_journal()
             try:
+                if self._journal is None:
+                    self._journal = self._open_journal()
                 self._journal.write(
                     f"{_escape(text)}\t{source}\t{target}\t{_escape(translation)}\n"
                 )
                 self._journal.flush()
-            except OSError as exc:  # as naming_os_errors does, without its cost per entry
-                if exc.filename is None:
-                    exc.filename = str(self.path)
-                raise
+            except OSError as exc:  # named as naming_os_errors does, without its cost per entry
+                where = exc.filename or str(self.path)
+                raise JournalWriteFailed(exc.errno, exc.strerror or str(exc), where) from exc
 
     def _open_journal(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -375,12 +369,17 @@ def augment_example(
     cache: TranslationCache | None = None,
     policy: Policy = Policy.SKIP_ON_ERROR,
 ) -> list[AugmentedExample]:
-    """One augmented sample per pivot, in pivot order, carrying the source label."""
+    """One augmented sample per pivot, in pivot order, carrying the source
+    label. A failed translation raises AugmentationFailed under FAIL_FAST and
+    skips its pivot under SKIP_ON_ERROR; a journal that cannot be written
+    raises JournalWriteFailed under both."""
     pivots.validated_for(source_language)
     out: list[AugmentedExample] = []
     for pivot in pivots.pivots:
         try:
             translated = translate(provider, example.text, source_language, pivot, cache=cache)
+        except JournalWriteFailed:
+            raise
         except Exception as exc:
             if policy is Policy.FAIL_FAST:
                 raise AugmentationFailed(pivot, exc) from exc
@@ -425,12 +424,10 @@ def augment_rows(
             example, pivots, provider, corpus.language, cache=cache, policy=policy
         )
 
-    return _augmented(corpus.examples, work, getattr(provider, "does_io", False), cache)
+    return _augmented(corpus.examples, work, getattr(provider, "does_io", False))
 
 
-def _augmented(
-    originals: list[LabeledExample], work, pooled: bool, cache: TranslationCache | None
-) -> Iterator[LabeledExample]:
+def _augmented(originals: list[LabeledExample], work, pooled: bool) -> Iterator[LabeledExample]:
     """Each original, then its augmented rows as work(original) gives them,
     one window of IO_WINDOW originals at a time; pooled, a window's work
     runs on IO_WORKERS threads, which closing the generator waits for."""
@@ -442,11 +439,6 @@ def _augmented(
                 yield original
                 for aug in augmented:
                     yield LabeledExample(aug.id, aug.rendered_text, aug.label)
-    # A put that failed was skipped like a failed translation under
-    # SKIP_ON_ERROR; its entry fails the rows here, before a caller that
-    # writes them as they come keeps them.
-    if cache is not None:
-        cache.flush()
 
 
 def augment_corpus(

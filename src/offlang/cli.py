@@ -262,7 +262,7 @@ class RunConfig:
     top-level keys."""
 
     raw: dict  # the file as read, which the manifest fingerprints
-    train: typing.Callable[[], TrainConfig]  # see _resolve
+    train: typing.Callable[[], TrainConfig]  # see _settings
     encoder: EncoderConfig
     weaklabel: WeakLabelConfig
     augment: AugmentConfig
@@ -350,21 +350,29 @@ def _build(cls, name: str, **values):
 
 def _resolve(args) -> RunConfig:
     """The settings of one command line: the config file, checked against the
-    schema, with each flag given overriding the key its dest names."""
+    schema and then on its own, with each flag given overriding the key its
+    dest names, checked again. So a file value that a flag overrides is still
+    checked, and a file must be valid without the flags."""
     raw = _load_config(args.config)
     top = _checked({k: v for k, v in raw.items() if k not in SECTIONS}, RunConfig, fixed=_NOT_KEYS)
     sections = {
         name: _checked(raw.get(name, {}), cls, name, fixed)
         for name, (cls, fixed) in SECTIONS.items()
     }
+    _settings(raw, top, sections, args.command)
     owners = _owners()
     for key, value in vars(args).items():
         if value is not None and key in owners:
             (top if owners[key] is None else sections[owners[key]])[key] = value
+    return _settings(raw, top, sections, args.command)
+
+
+def _settings(raw: dict, top: dict, sections: dict[str, dict], command: str) -> RunConfig:
+    """The RunConfig of the top-level keys and sections given, each value checked."""
     # augment leaves an unnamed source language unknown: assuming "en" would
     # wrongly reject the default pivot set for non-English files.
-    top.setdefault("language", "und" if args.command == "augment" else "en")
-    seed = top.setdefault("seed", 0)
+    top = {"language": "und" if command == "augment" else "en", "seed": 0, **top}
+    seed = top["seed"]
     # Every command checks the train values given, though only those that
     # train build the section (below).
     _build(TrainConfig.check, "train", **sections["train"])

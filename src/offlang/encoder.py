@@ -173,23 +173,29 @@ class EncoderModel:
     def copy(self) -> "EncoderModel":
         return EncoderModel(self.config, {k: v.copy() for k, v in self.params.items()})
 
-    def param_bytes(self) -> bytes:
-        return b"".join(self.params[k].tobytes() for k in sorted(self.params))
 
-
-def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(GELU(x), Phi(x)) where GELU(x) = x * Phi(x) and Phi is the standard
-    normal CDF, 0.5 * (1 + erf(x / sqrt 2)), computed in place in erf's new
-    array. Phi is returned so the backward pass needs no second erf."""
-    phi = erf(x / _SQRT2)
+    normal CDF, 0.5 * (1 + erf(x / sqrt 2)), computed in place in the array
+    x / sqrt 2. Phi is returned so the backward pass needs no second erf.
+    GELU(x) goes into `out` when given, which may be x itself."""
+    phi = x / _SQRT2
+    erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    return x * phi, phi
+    return np.multiply(x, phi, out=out), phi
 
 
 def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """d GELU / dx = Phi(x) + x * pdf(x), given phi = Phi(x) from gelu()."""
-    return phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    """d GELU / dx = Phi(x) + x * pdf(x), given phi = Phi(x) from gelu(),
+    in one new array."""
+    g = -0.5 * x
+    g *= x
+    np.exp(g, out=g)
+    g *= x
+    g /= np.sqrt(2.0 * np.pi)
+    g += phi
+    return g
 
 
 def _layer_norm(x, gain, bias):
@@ -214,9 +220,11 @@ def _layer_norm_backward(dy, cache):
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place in x."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _dropout(x, slots, shape, rate, rng):
@@ -241,12 +249,17 @@ def _unheads(heads, slots):
     return heads.transpose(0, 2, 1, 3).reshape(batch * length, num_heads * dk)[slots]
 
 
-def _layer(p, pre, x, real, q_slots, T, num_heads, attn_bias, drop):
+def _layer(p, pre, x, real, q_slots, T, num_heads, attn_bias, drop, cache):
     """One post-norm block over packed rows. x holds the (N, h) rows of the
     `real` slots of the flat (B * T) batch; every real row gives a key and a
     value, and the rows at `q_slots` (a subset of `real`) give the queries.
     Only the query rows go on through the output projection, LayerNorms and
-    FFN, so the result is (len(q_slots), h)."""
+    FFN, so the result is (len(q_slots), h).
+
+    When training, `cache` is a dict that receives what _layer_backward
+    needs. In inference it is None, each intermediate is dropped once its
+    consumer has run, and GELU runs in place, so the layer holds at most two
+    of its largest arrays at a time."""
     B = attn_bias.shape[0]
     q_rows = np.searchsorted(real, q_slots)
     q_len = int((q_slots % T).max()) + 1
@@ -255,33 +268,38 @@ def _layer(p, pre, x, real, q_slots, T, num_heads, attn_bias, drop):
     qh = _heads(x_q @ p[pre + "attn.wq"] + p[pre + "attn.bq"], q_grid, B, q_len, num_heads)
     kh = _heads(x @ p[pre + "attn.wk"] + p[pre + "attn.bk"], real, B, T, num_heads)
     vh = _heads(x @ p[pre + "attn.wv"] + p[pre + "attn.bv"], real, B, T, num_heads)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    probs = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + attn_bias)
+    if cache is not None:
+        cache.update(x_in=x, q_rows=q_rows, q_grid=q_grid, qh=qh, kh=kh, vh=vh)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    del qh, kh
+    probs *= 1.0 / np.sqrt(vh.shape[-1])
+    probs += attn_bias
+    _softmax(probs)
     ctx = _unheads(probs @ vh, q_grid)
+    if cache is not None:
+        cache.update(probs=probs, ctx=ctx)
+    del probs, vh
     attn, attn_keep = drop(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"], q_slots)
+    del ctx
     ln1, ln1_cache = _layer_norm(x_q + attn, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-    mid_pre = ln1 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
-    mid, phi = gelu(mid_pre)
+    if cache is not None:
+        cache.update(attn_keep=attn_keep, ln1=ln1, ln1_cache=ln1_cache)
+    del x_q, attn, ln1_cache
+    mid_pre = ln1 @ p[pre + "ffn.w1"]
+    mid_pre += p[pre + "ffn.b1"]
+    if cache is None:
+        mid = gelu(mid_pre, out=mid_pre)[0]
+    else:
+        mid, phi = gelu(mid_pre)
+        cache.update(mid_pre=mid_pre, phi=phi)
+        del phi
+    del mid_pre
     ffn, ffn_keep = drop(mid @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"], q_slots)
+    del mid
     out, ln2_cache = _layer_norm(ln1 + ffn, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-    cache = {
-        "x_in": x,
-        "q_rows": q_rows,
-        "q_grid": q_grid,
-        "qh": qh,
-        "kh": kh,
-        "vh": vh,
-        "probs": probs,
-        "ctx": ctx,
-        "attn_keep": attn_keep,
-        "ln1": ln1,
-        "ln1_cache": ln1_cache,
-        "mid_pre": mid_pre,
-        "phi": phi,
-        "ffn_keep": ffn_keep,
-        "ln2_cache": ln2_cache,
-    }
-    return out, cache
+    if cache is not None:
+        cache.update(ffn_keep=ffn_keep, ln2_cache=ln2_cache)
+    return out
 
 
 def _layer_backward(p, pre, c, d_out, real, grads):
@@ -297,7 +315,8 @@ def _layer_backward(p, pre, c, d_out, real, grads):
     mid_pre, phi = c["mid_pre"], c["phi"]
     grads[pre + "ffn.w2"] += (mid_pre * phi).T @ dffn
     grads[pre + "ffn.b2"] += dffn.sum(axis=0)
-    dmid_pre = (dffn @ p[pre + "ffn.w2"].T) * gelu_grad(mid_pre, phi)
+    dmid_pre = dffn @ p[pre + "ffn.w2"].T
+    dmid_pre *= gelu_grad(mid_pre, phi)
     grads[pre + "ffn.w1"] += c["ln1"].T @ dmid_pre
     grads[pre + "ffn.b1"] += dmid_pre.sum(axis=0)
     dln1 = dres2 + dmid_pre @ p[pre + "ffn.w1"].T
@@ -314,9 +333,14 @@ def _layer_backward(p, pre, c, d_out, real, grads):
     probs, qh, kh, vh = c["probs"], c["qh"], c["kh"], c["vh"]
     dprobs = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = probs.transpose(0, 1, 3, 2) @ dctx
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dqh = dscores @ kh * scale
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+    # dscores = probs * (dprobs - rowsum(dprobs * probs)), built in dprobs
+    dscores = dprobs
+    dscores -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dscores *= probs
+    dqh = dscores @ kh
+    dqh *= scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ qh
+    dkh *= scale
 
     x_in, q_rows = c["x_in"], c["q_rows"]
     dx = np.zeros_like(x_in)
@@ -341,7 +365,9 @@ def forward(
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ):
-    """Run the encoder over a (B, T) batch and return (CLS vectors, cache).
+    """Run the encoder over a (B, T) batch and return (CLS vectors, cache),
+    where the activation cache for backward() is recorded only when
+    train=True and is None otherwise.
 
     T may be anything up to max_len; batches from encode_corpus are padded
     only to their longest row, and every row's position 0 ([CLS]) must be
@@ -357,6 +383,10 @@ def forward(
     vector does not depend on how far its batch is padded (up to roundoff).
     Dropout is applied only when train=True (inverted dropout with the
     supplied rng), with masks drawn at the padded (B, T, h) shape.
+    Score scaling and softmax run in place in the scores array. Without
+    train, each layer also drops every intermediate once it is consumed and
+    runs GELU in place; at dropout 0 the CLS vectors are bit for bit those
+    of a training forward.
     """
     cfg = model.config
     p = model.params
@@ -379,11 +409,12 @@ def forward(
     real = np.flatnonzero(mask)  # slots of the real tokens in the flat (B * T) batch
     x, emb_keep = drop(p["tok_emb"][ids.reshape(-1)[real]] + p["pos_emb"][real % T], real)
     attn_bias = (1.0 - mask)[:, None, None, :] * _MASK_BIAS
-    layers = []
-    for i in range(cfg.num_layers):
+    layers = [{} if train else None for _ in range(cfg.num_layers)]
+    for i, layer_cache in enumerate(layers):
         q_slots = real if i < cfg.num_layers - 1 else np.arange(B) * T
-        x, layer_cache = _layer(p, f"layer{i}.", x, real, q_slots, T, cfg.num_heads, attn_bias, drop)
-        layers.append(layer_cache)
+        x = _layer(p, f"layer{i}.", x, real, q_slots, T, cfg.num_heads, attn_bias, drop, layer_cache)
+    if not train:
+        return x, None
     return x, {"ids": ids, "real": real, "emb_keep": emb_keep, "layers": layers}
 
 

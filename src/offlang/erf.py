@@ -23,6 +23,12 @@ blocks of BLOCK elements, which keeps its temporaries in the L2 cache.
 The other branches run once per call on the gathered elements that need
 them: [0.84375, 1.25) over the gathered elements, then the `exp` branch
 only over those at or above 1.25.
+
+`erf(x, out=x)` overwrites x with its erf, bit for bit what `erf(x)`
+returns, with no extra pass: each block's elements outside the small
+branch are gathered before the block's last add writes its results, and
+only the small branch's x * pp / qq needs a block-sized buffer of its own.
+The encoder's GELU uses it on its own x / sqrt 2 array.
 """
 
 from __future__ import annotations
@@ -92,34 +98,45 @@ def _horner(coefs, t, acc):
     return acc
 
 
-def erf(x) -> np.ndarray:
-    """erf of every element of x, as a new float64 array of x's shape."""
+def erf(x, out=None) -> np.ndarray:
+    """erf of every element of x, into `out` or a new float64 array of x's
+    shape. `out` may be x itself; otherwise it must not overlap x."""
     x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array of x's shape")
+    flat, dest = x.reshape(-1), out.reshape(-1)
     n = flat.size
-    out = np.empty(n)
-    special = np.empty(n, dtype=bool)  # |x| < 2^-28, |x| >= 0.84375 or nan
     z, s = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
+    special = np.empty(z.size, dtype=bool)  # |x| < 2^-28, |x| >= 0.84375 or nan
+    # In place, x * pp / qq needs a block of its own.
+    q = np.empty(z.size) if out is x else None
+    rest, held = [], []  # the special elements' positions and inputs
     # inf and nan inputs make inf - inf and 0 / 0 in the small branch, whose
     # results the other branches replace.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, n, BLOCK):
-            xb = flat[start : start + BLOCK]
+            xb, ob = flat[start : start + BLOCK], dest[start : start + BLOCK]
             if xb.size < z.size:
-                z, s = z[: xb.size], s[: xb.size]
+                z, s, special = z[: xb.size], s[: xb.size], special[: xb.size]
             np.multiply(xb, xb, out=z)
             bits = s.view(np.int64)
             np.subtract(z.view(np.int64), _Z_LO, out=bits)
-            np.greater_equal(bits.view(np.uint64), _Z_SPAN, out=special[start : start + xb.size])
-            # x + x * pp / qq, built in the output block
-            r = _horner(_PP, z, out[start : start + xb.size])
+            np.greater_equal(bits.view(np.uint64), _Z_SPAN, out=special)
+            # Gathered before the add below, which may overwrite xb.
+            idx = np.flatnonzero(special)
+            if idx.size:
+                rest.append(idx + start)
+                held.append(xb[idx])
+            # x + x * pp / qq, built in the output block unless that is x
+            r = _horner(_PP, z, ob if q is None else q[: xb.size])
             r /= _horner(_QQ, z, s)
             r *= xb
-            r += xb
-        rest = np.flatnonzero(special)
-        if rest.size:
-            out[rest] = _outside_small(flat[rest])
-    return out.reshape(x.shape)
+            np.add(r, xb, out=ob)
+        if rest:
+            dest[np.concatenate(rest)] = _outside_small(np.concatenate(held))
+    return out
 
 
 def _outside_small(x: np.ndarray) -> np.ndarray:

@@ -82,6 +82,13 @@ class TranslationNotFound(TranslationError):
     """A file/mapping provider has no entry for the requested triple."""
 
 
+class JournalWriteFailed(OSError):
+    """The translation journal could not be opened or written. It ends
+    augmentation under every policy, since every later translation would
+    fail to be recorded too. An OSError, so it is reported as any failed
+    write is."""
+
+
 class AugmentationFailed(OffLangError):
     """A translation error annotated with the pivot it occurred on."""
 

@@ -142,17 +142,14 @@ def predict_labels(
 
     Texts are labelled train.FEATURE_BATCH rows at a time, each batch padded
     to its longest row, so labels do not depend on the batch size and memory
-    follows the batch, not the corpus. Each forward's activation cache is
-    dropped as soon as it returns. With packed caches this costs no pipeline
-    speed: in alternating 20 s benchmark runs against keeping the previous
-    batch's caches alive (2-core x86_64, BLAS on 1 thread), `finetune`
-    `infer_ex_per_s` moved -0.6% (3 pairs) and `peak_rss_mb` fell from 113
-    to 97 MiB, and `ablate_en` and `tweets` `infer_ex_per_s` won 5 of 7
-    pairs each. Dropping them is cheap because cli.main keeps freed blocks
-    on glibc's heap: in a fresh interpreter predicting 384 rows at h=64
-    (2-core x86_64, BLAS on 1 thread), a repeated call took a median 78 ms
-    and 13,042 minor page faults without that, and 56 ms and 0-1 faults
-    with it."""
+    follows the batch, not the corpus. An inference forward keeps no
+    activation cache and runs its score scaling, softmax and GELU in place,
+    so it holds about two and a half of its largest arrays at once: for
+    batches of 128 rows of 128 tokens at h=64, whose FFN activations and
+    attention probabilities are 32 MiB each, the traced numpy peak is about
+    80 MiB (tests/test_evaluation.py bounds it). cli.main keeps freed
+    blocks on glibc's heap, so each batch reuses the blocks the previous one
+    freed."""
     batch = train_mod.FEATURE_BATCH
     labels: list[Label] = []
     for start in range(0, len(texts), batch):

@@ -48,10 +48,6 @@ _EMOJI_RANGES = (
 _EMOJI_CHARS = frozenset(chr(cp) for lo, hi in _EMOJI_RANGES for cp in range(lo, hi + 1))
 
 
-def is_emoji_codepoint(ch: str) -> bool:
-    return ch in _EMOJI_CHARS
-
-
 def _load_table(cls, path: str | Path, parse=str):
     """cls of the {key: parse(value)} mapping that the `key<TAB>value` lines
     of the table at path give, a later line overriding an earlier one. parse

@@ -194,7 +194,8 @@ def _fit(
     final short batch is used, not dropped). step(sel) returns the batch's
     mean loss and a callable giving the gradients of `params`; the loss is
     checked for divergence before any backward pass, then Adam updates
-    `params` in place."""
+    `params` in place. The callable, and the activations it holds, is
+    released before the next batch's step."""
     adam = AdamState.init_like(params)
     trace: list[float] = []
     for epoch in range(config.epochs):
@@ -206,6 +207,7 @@ def _fit(
             _check_divergence(loss, epoch, b_start // config.batch_size)
             epoch_loss += loss * len(sel)
             adam_step(params, grads(), adam, config.learning_rate)
+            del grads
         trace.append(epoch_loss / n)
     return trace
 

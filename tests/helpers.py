@@ -1,6 +1,7 @@
-"""Shared test oracles: the finite-difference gradient check, a recorder
-of encoder forward calls, a torn write for the shared file writer, and the
-text stages as they ran before they streamed their rows."""
+"""Shared test oracles: the finite-difference gradient check, a model's
+parameter bytes, a recorder of encoder forward calls, a torn write for the
+shared file writer, and the text stages as they ran before they streamed
+their rows."""
 
 import contextlib
 import random
@@ -63,8 +64,16 @@ def random_batch(
     return ids, mask, y
 
 
+def param_bytes(model: EncoderModel) -> bytes:
+    """Every parameter's bytes in name order, to compare two models bit for bit."""
+    return b"".join(model.params[k].tobytes() for k in sorted(model.params))
+
+
 def analytic_gradients(model, head, ids, mask, y):
-    cls, cache = forward(model, ids, mask)
+    """Backpropagated gradients of the mean cross-entropy, through a
+    training-mode forward: the models checked here have dropout 0, so it
+    computes what inference computes and records the cache backward needs."""
+    cls, cache = forward(model, ids, mask, train=True)
     _, dlogits = _batch_cross_entropy(cls @ head.w + head.b, y)
     grads = backward(model, cache, dlogits @ head.w.T)
     grads["head.w"] = cls.T @ dlogits

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -305,6 +306,32 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not (workspace / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, flags, message",
+        [
+            ("train", "train: {epochs: 0}\n", ["--epochs", "1"], "epochs must be >= 1, got 0"),
+            ("weaklabel", "weaklabel: {per_class_count: 0}\n", ["--per-class", "5"],
+             "per_class_count must be positive"),
+            ("augment", "augment: {policy: retry}\n", ["--policy", "fail_fast"],
+             "augment.policy must be one of"),
+            ("gridsearch", "grid: {batch_sizes: 'a,b'}\n", ["--batch-sizes", "8"],
+             "invalid grid settings"),
+            ("ablate", "holdout_fraction: 1.5\n", ["--holdout", "0.2", "--mode", "augmentation"],
+             "holdout_fraction must be in (0, 1)"),
+        ],
+        ids=["epochs", "per_class", "policy", "batch_sizes", "holdout"],
+    )
+    def test_a_file_value_that_a_flag_overrides_is_still_checked(
+        self, workspace, capsys, command, text, flags, message
+    ):
+        config = workspace / "bad.yaml"
+        config.write_text(text, encoding="utf-8")
+        argv = (command, "--config", config, "--input", workspace / "train.tsv", *flags)
+        assert run(*argv, "--out-dir", workspace / "o") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not (workspace / "o").exists()
+
     def test_train_section_needs_no_language_defaults_outside_training(self, tmp_path, capsys):
         (tmp_path / "in.tsv").write_text("1\thi\tNOT\n", encoding="utf-8")
         (tmp_path / "run.yaml").write_text("language: xx\ntrain: {epochs: 2}\n", encoding="utf-8")
@@ -438,7 +465,7 @@ class TestExitCodes:
             journal.write_text("".join(f"w{i}\ten\tfr\tx\n" for i in range(1500)), encoding="utf-8")
             assert limit - 200 < journal.stat().st_size < limit
             cache = ["--cache", str(journal)]
-        if full == "journal_skip_on_error":  # the failed puts are skipped, not the stage
+        if full == "journal_skip_on_error":  # a failed put ends the stage under every policy
             cache += ["--policy", "skip_on_error"]
 
         def limit_file_size():
@@ -453,12 +480,49 @@ class TestExitCodes:
         )
         assert proc.returncode == EXIT_RUNTIME
         named = out / "augmented.tsv" if full == "artifact" else tmp_path / "cache.tsv"
-        *skipped, last = proc.stderr.splitlines()  # skip_on_error logs each skipped pivot
-        assert last == f"error: File too large: {named}"
-        assert all(line.startswith("skipping pivot ") for line in skipped)
-        assert bool(skipped) == (full == "journal_skip_on_error")
+        assert proc.stderr == f"error: File too large: {named}\n"
         assert (out / "augmented.tsv").read_text(encoding="utf-8") == "previous\n"
         assert sorted(p.name for p in out.iterdir()) == ["augmented.tsv"]
+
+    def test_skip_on_error_skips_failed_translations_but_not_a_full_journal(self, tmp_path):
+        # Every 7th row has no translation; the journal has room for a few
+        # entries under a file size limit set in the child only.
+        rows = [(i, f"cümle numara {i}") for i in range(400)]
+        (tmp_path / "in.tsv").write_text(
+            "".join(f"{i}\t{text}\tOFF\n" for i, text in rows), encoding="utf-8"
+        )
+        (tmp_path / "tr.tsv").write_text(
+            "".join(
+                f"{text}\ttr\t{pivot}\tsentence {i} {pivot}\n"
+                for i, text in rows if i % 7 for pivot in ("en", "fr", "de")
+            ),
+            encoding="utf-8",
+        )
+        journal = tmp_path / "cache.tsv"
+        journal.write_text("".join(f"w{i}\ten\tfr\tx\n" for i in range(1500)), encoding="utf-8")
+        limit = journal.stat().st_size + 200
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        src = str(Path(offlang.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "offlang.cli", "augment", "--input", str(tmp_path / "in.tsv"),
+             "--language", "tr", "--provider", "file", "--translations", str(tmp_path / "tr.tsv"),
+             "--policy", "skip_on_error", "--cache", str(journal), "--out-dir", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=limit_file_size,
+        )
+        assert proc.returncode == EXIT_RUNTIME
+        *skipped, last = proc.stderr.splitlines()
+        assert last == f"error: File too large: {journal}"
+        skipped_rows = [
+            int(re.fullmatch(r"skipping pivot (en|fr|de) for (\d+): no entry for .*", line)[2])
+            for line in skipped
+        ]
+        assert skipped_rows[:3] == [0, 0, 0] and len(skipped_rows) <= 6
+        assert all(i % 7 == 0 for i in skipped_rows)
+        assert not (tmp_path / "o" / "augmented.tsv").exists()
 
     def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "in.tsv").write_text("1\thi\tNOT\n2\tbye\tOFF\n", encoding="utf-8")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ZERO_GRADIENT_FLOOR, tear_writes
+from helpers import ZERO_GRADIENT_FLOOR, param_bytes, tear_writes
 
 import offlang.encoder as encoder_mod
 from offlang.corpus import Corpus, Label, LabeledExample
@@ -153,7 +153,9 @@ def cls_vectors(model, texts, vocab=AB_VOCAB):
 
 
 def attention_probs(model, ids, mask):
-    return [layer["probs"] for layer in forward(model, ids, mask)[1]["layers"]]
+    """Each layer's attention probabilities, from a training-mode cache (the
+    models here have dropout 0; inference records no cache)."""
+    return [layer["probs"] for layer in forward(model, ids, mask, train=True)[1]["layers"]]
 
 
 class TestForward:
@@ -236,8 +238,8 @@ class TestTrimmedBatch:
 
     def test_gradients_match_padded(self):
         model, trimmed, padded = self.batches()
-        cls, cache_trimmed = forward(model, *trimmed)
-        _, cache_padded = forward(model, *padded)
+        cls, cache_trimmed = forward(model, *trimmed, train=True)
+        _, cache_padded = forward(model, *padded, train=True)
         d_cls = np.random.default_rng(1).standard_normal(cls.shape)
         g_trimmed = backward(model, cache_trimmed, d_cls)
         g_padded = backward(model, cache_padded, d_cls)
@@ -400,6 +402,32 @@ class TestPackedMatchesPadded:
             assert diff <= 1e-12 * max(a, b), f"{name}: {diff} vs norm {max(a, b)}"
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    length=st.integers(1, 9),
+    num_layers=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_inference_equals_training_at_dropout_zero(batch, length, num_layers, seed, data):
+    """Inference runs GELU in place and records no cache; at dropout 0 its CLS
+    vectors are bit for bit those of a training-mode forward."""
+    config = EncoderConfig(
+        hidden_size=8, num_layers=num_layers, num_heads=2, ffn_size=16,
+        max_len=9, vocab_cap=50, dropout=0.0, init_seed=seed,
+    )
+    model = EncoderModel.initialize(config, 12)
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 12, size=(batch, length))
+    lengths = data.draw(st.lists(st.integers(1, length), min_size=batch, max_size=batch))
+    mask = (np.arange(length) < np.array(lengths)[:, None]).astype(np.float64)
+    cls, cache = forward(model, ids, mask)
+    train_cls, train_cache = forward(model, ids, mask, train=True)
+    assert cache is None and len(train_cache["layers"]) == num_layers
+    assert cls.tobytes() == train_cls.tobytes()
+
+
 def _two_erf_gelu(x):
     return 0.5 * x * (1.0 + encoder_mod.erf(x / np.sqrt(2.0)))
 
@@ -421,6 +449,9 @@ class TestGelu:
         mid, phi = gelu(x)
         assert np.array_equal(mid, _two_erf_gelu(x))
         assert np.array_equal(gelu_grad(x, phi), _two_erf_gelu_grad(x))
+        in_place = x.copy()
+        assert gelu(in_place, out=in_place)[0] is in_place
+        assert in_place.tobytes() == mid.tobytes()
 
     def test_forward_and_backward_bitwise_unchanged(self, monkeypatch):
         config = EncoderConfig(hidden_size=16, num_layers=2, num_heads=2, max_len=12, dropout=0.1)
@@ -453,10 +484,10 @@ class TestInit:
     def test_reproducible_bit_for_bit(self):
         a = tiny_model(seed=5)
         b = tiny_model(seed=5)
-        assert a.param_bytes() == b.param_bytes()
+        assert param_bytes(a) == param_bytes(b)
 
     def test_seed_changes_params(self):
-        assert tiny_model(seed=1).param_bytes() != tiny_model(seed=2).param_bytes()
+        assert param_bytes(tiny_model(seed=1)) != param_bytes(tiny_model(seed=2))
 
     def test_truncated_normal_bounds(self):
         model = tiny_model()
@@ -480,7 +511,7 @@ class TestCheckpoint:
         assert ckpt.vocab.token_to_id == vocab.token_to_id
         assert ckpt.meta["language"] == "tr"
         restored = ckpt.model()
-        assert restored.param_bytes() == model.param_bytes()
+        assert param_bytes(restored) == param_bytes(model)
 
     def test_deterministic_bytes(self, tmp_path):
         vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
@@ -500,7 +531,7 @@ class TestCheckpoint:
             save_checkpoint(path, new, vocab)
         monkeypatch.undo()
         assert path.read_bytes() == saved
-        assert load_checkpoint(path).model().param_bytes() == old.param_bytes()
+        assert param_bytes(load_checkpoint(path).model()) == param_bytes(old)
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_missing_or_misshapen_parameters_are_rejected(self, tmp_path):

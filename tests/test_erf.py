@@ -103,6 +103,10 @@ class TestShapes:
         assert whole.shape == (n,)
         pieces = np.concatenate([erf(x[:7]), erf(x[7 : BLOCK + 2]), erf(x[BLOCK + 2 :])])
         assert whole.tobytes() == pieces.tobytes()
+        # In place, each block's special inputs are read before it is overwritten.
+        in_place = x.copy()
+        assert erf(in_place, out=in_place) is in_place
+        assert in_place.tobytes() == whole.tobytes()
 
     def test_non_contiguous_input(self):
         x = np.random.default_rng(1).normal(0.0, 1.5, (40, 30))
@@ -110,6 +114,14 @@ class TestShapes:
             got = erf(view)
             assert got.shape == view.shape
             assert got.tobytes() == erf(np.ascontiguousarray(view)).tobytes()
+
+    def test_out_must_be_a_contiguous_float64_array_of_the_shape(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = np.empty((3, 4))
+        assert erf(x, out=out) is out and out.tobytes() == erf(x).tobytes()
+        for bad in (np.empty(12), np.empty((3, 4), np.float32), np.empty((4, 3)).T):
+            with pytest.raises(ValueError, match="out must be"):
+                erf(x, out=bad)
 
     def test_empty_input(self):
         assert erf(np.empty(0)).shape == (0,)

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from helpers import (
     GRADCHECK_CONFIG,
     ForwardRecorder,
     gradient_check,
+    param_bytes,
     random_batch,
     random_gradcheck_model,
 )
@@ -195,21 +197,37 @@ class TestTrainSingle:
         corpus, vocab, model, config = trained_toy(seed=2)
         a = train_single(corpus, model, vocab, config)
         b = train_single(corpus, model, vocab, config)
-        assert a.model.param_bytes() == b.model.param_bytes()
+        assert param_bytes(a.model) == param_bytes(b.model)
         assert a.head.w.tobytes() == b.head.w.tobytes()
         assert a.loss_trace == b.loss_trace
 
     def test_input_model_not_mutated(self):
         corpus, vocab, model, config = trained_toy(seed=3)
-        before = model.param_bytes()
+        before = param_bytes(model)
         train_single(corpus, model, vocab, config)
-        assert model.param_bytes() == before
+        assert param_bytes(model) == before
 
     def test_divergence_guard(self):
         corpus, vocab, model, config = trained_toy(seed=4)
         config.learning_rate = 1e4
         with pytest.raises(DivergenceError):
             train_single(corpus, model, vocab, config)
+
+    def test_each_batch_activations_are_freed_before_the_next_forward(self, monkeypatch):
+        corpus, vocab, model, config = trained_toy(seed=5, epochs=2)
+        forward = train_mod.forward
+        earlier = []  # weak references to each batch's attention probabilities
+
+        def checked_forward(*args, **kwargs):
+            alive = sum(ref() is not None for ref in earlier)
+            assert alive == 0, f"{alive} earlier batches' caches alive at forward {len(earlier)}"
+            cls, cache = forward(*args, **kwargs)
+            earlier.append(weakref.ref(cache["layers"][0]["probs"]))
+            return cls, cache
+
+        monkeypatch.setattr(train_mod, "forward", checked_forward)
+        train_single(corpus, model, vocab, config)
+        assert len(earlier) == 2 * math.ceil(len(corpus) / config.batch_size)
 
     def test_loss_trace_length(self):
         corpus, vocab, model, config = trained_toy(seed=6, epochs=3)
@@ -232,11 +250,11 @@ class TestTrainDual:
 
     def test_encoders_frozen(self):
         corpus, vocab, model_a, model_b, config = self.setup_models(seed=1)
-        bytes_a = model_a.param_bytes()
-        bytes_b = model_b.param_bytes()
+        bytes_a = param_bytes(model_a)
+        bytes_b = param_bytes(model_b)
         train_dual(corpus, model_a, model_b, vocab, config)
-        assert model_a.param_bytes() == bytes_a
-        assert model_b.param_bytes() == bytes_b
+        assert param_bytes(model_a) == bytes_a
+        assert param_bytes(model_b) == bytes_b
 
     def test_loss_decreases_on_toy(self):
         corpus, vocab, model_a, model_b, config = self.setup_models(seed=2)
@@ -304,7 +322,7 @@ class TestTrainCheckpoint:
         path = tmp_path / "t.ckpt"
         save_train_checkpoint(path, result.model, vocab, result.head, meta={"language": "en"})
         loaded = load_train_checkpoint(path)
-        assert loaded.model.param_bytes() == result.model.param_bytes()
+        assert param_bytes(loaded.model) == param_bytes(result.model)
         assert loaded.vocab.token_to_id == vocab.token_to_id
         assert np.array_equal(loaded.head.w, result.head.w)
         assert np.array_equal(loaded.head.b, result.head.b)
