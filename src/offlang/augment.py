@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol, TextIO
 
-from .corpus import Corpus, Label, LabeledExample, naming_os_errors, read_lines
+from .corpus import Corpus, LabeledExample, naming_os_errors, read_lines
 from .errors import (
     AugmentationFailed,
     EmptyCorpus,
@@ -79,19 +79,6 @@ class PivotSet:
             )
             return cls(ENGLISH_SOURCE_PIVOTS)
         return cls(DEFAULT_PIVOTS)
-
-
-@dataclass(frozen=True)
-class AugmentedExample:
-    id: str
-    original_text: str
-    translated_text: str
-    pivot: str
-    label: Label
-
-    @property
-    def rendered_text(self) -> str:
-        return f"{self.original_text} {SEPARATOR} {self.translated_text}"
 
 
 class TranslationProvider(Protocol):
@@ -300,8 +287,21 @@ class TranslationCache:
                 )
                 self._journal.flush()
             except OSError as exc:  # named as naming_os_errors does, without its cost per entry
+                self._give_up_journal()
                 where = exc.filename or str(self.path)
                 raise JournalWriteFailed(exc.errno, exc.strerror or str(exc), where) from exc
+
+    def _give_up_journal(self) -> None:
+        """Close the journal after a failed write, so that close() does not
+        raise the failure again for the line still in its buffer. A torn
+        line that the failure left is cut before the next append."""
+        journal, self._journal = self._journal, None
+        with contextlib.suppress(OSError):
+            if journal is not None:
+                journal.close()  # one more try at the buffered line
+        with contextlib.suppress(OSError):
+            end, size = _complete_lines(self.path)
+            self._complete_bytes = end if end < size else None
 
     def _open_journal(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -368,13 +368,14 @@ def augment_example(
     *,
     cache: TranslationCache | None = None,
     policy: Policy = Policy.SKIP_ON_ERROR,
-) -> list[AugmentedExample]:
+) -> list[LabeledExample]:
     """One augmented sample per pivot, in pivot order, carrying the source
-    label. A failed translation raises AugmentationFailed under FAIL_FAST and
-    skips its pivot under SKIP_ON_ERROR; a journal that cannot be written
-    raises JournalWriteFailed under both."""
+    label: id "<id>-<pivot>", text "<text> [SEP] <translation>". A failed
+    translation raises AugmentationFailed under FAIL_FAST and skips its pivot
+    under SKIP_ON_ERROR; a journal that cannot be written raises
+    JournalWriteFailed under both."""
     pivots.validated_for(source_language)
-    out: list[AugmentedExample] = []
+    out: list[LabeledExample] = []
     for pivot in pivots.pivots:
         try:
             translated = translate(provider, example.text, source_language, pivot, cache=cache)
@@ -386,12 +387,8 @@ def augment_example(
             logger.warning("skipping pivot %s for %s: %s", pivot, example.id, exc)
             continue
         out.append(
-            AugmentedExample(
-                id=f"{example.id}-{pivot}",
-                original_text=example.text,
-                translated_text=translated,
-                pivot=pivot,
-                label=example.label,
+            LabeledExample(
+                f"{example.id}-{pivot}", f"{example.text} {SEPARATOR} {translated}", example.label
             )
         )
     return out
@@ -419,7 +416,7 @@ def augment_rows(
         raise EmptyCorpus("cannot augment an empty corpus")
     pivots.validated_for(corpus.language)
 
-    def work(example: LabeledExample) -> list[AugmentedExample]:
+    def work(example: LabeledExample) -> list[LabeledExample]:
         return augment_example(
             example, pivots, provider, corpus.language, cache=cache, policy=policy
         )
@@ -437,8 +434,7 @@ def _augmented(originals: list[LabeledExample], work, pooled: bool) -> Iterator[
             window = originals[start : start + IO_WINDOW]
             for original, augmented in zip(window, mapped(work, window)):
                 yield original
-                for aug in augmented:
-                    yield LabeledExample(aug.id, aug.rendered_text, aug.label)
+                yield from augmented
 
 
 def augment_corpus(

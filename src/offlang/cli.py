@@ -134,17 +134,28 @@ def _fingerprint(config: dict) -> str:
     ).hexdigest()
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config: dict,
-    seed: int,
-    inputs: list[Path],
-    artifacts: list[Path],
-) -> None:
+@contextlib.contextmanager
+def _run_dir(args, run: RunConfig, seed: int, inputs: list[Path]):
+    """The run directory --out-dir, made on entry. Yields artifact(name,
+    text=None), which records the artifact `name` and returns its path in
+    the directory, writing `text` there atomically when it is given. On a
+    clean exit, the manifest of the recorded artifacts is written last."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts: list[Path] = []
+
+    def artifact(name: str, text: str | None = None) -> Path:
+        path = out / name
+        if text is not None:
+            with atomic_write(path) as fh:
+                fh.write(text)
+        artifacts.append(path)
+        return path
+
+    yield artifact
     manifest = {
-        "command": command,
-        "config_fingerprint": _fingerprint(config),
+        "command": args.command,
+        "config_fingerprint": _fingerprint(run.raw),
         "seed": seed,
         "inputs": {str(p): _sha256_file(p) for p in inputs},
         "artifacts": {p.name: _sha256_file(p) for p in artifacts},
@@ -155,14 +166,8 @@ def _write_manifest(
         },
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    with atomic_write(out_dir / "manifest.json") as fh:
+    with atomic_write(out / "manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _normalized(examples, run: RunConfig):
@@ -246,7 +251,7 @@ class NormalizeMaps:
 # Each section of a config file: its dataclass, and the fields of that class
 # that top-level keys set instead.
 SECTIONS = {
-    "encoder": (EncoderConfig, ()),
+    "encoder": (EncoderConfig, ("init_seed",)),
     "train": (TrainConfig, ("language", "seed")),
     "weaklabel": (WeakLabelConfig, ("seed",)),
     "augment": (AugmentConfig, ()),
@@ -383,7 +388,7 @@ def _settings(raw: dict, top: dict, sections: dict[str, dict], command: str) -> 
         train=functools.partial(
             _build, TrainConfig, "train", language=top["language"], seed=seed, **sections["train"]
         ),
-        encoder=_build(EncoderConfig, "encoder", **{"init_seed": seed, **sections["encoder"]}),
+        encoder=_build(EncoderConfig, "encoder", init_seed=seed, **sections["encoder"]),
         weaklabel=_build(WeakLabelConfig, "weaklabel", seed=seed, **sections["weaklabel"]),
         augment=_build(AugmentConfig, "augment", **sections["augment"]),
         grid=_build(GridConfig, "grid", **sections["grid"]),
@@ -430,18 +435,6 @@ def emit_report_table(reports: list[EvalReport], layout: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_reports(out_dir: Path, reports: list[EvalReport], layout: str) -> list[Path]:
-    files = {
-        out_dir / f"report_{i}_{report.system.strip('+-').replace(' ', '_')}.json": report.to_json()
-        for i, report in enumerate(reports)
-    }
-    files[out_dir / f"{layout}.tsv"] = emit_report_table(reports, layout)
-    for path, text in files.items():
-        with atomic_write(path) as fh:
-            fh.write(text)
-    return list(files)
-
-
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -451,21 +444,17 @@ def cmd_stats(args, run: RunConfig) -> int:
     stats = corpus_stats(corpus)
     print(f"{{off={stats.off_count}, not={stats.not_count}, total={stats.total}}}")
     if args.out_dir:
-        out = _out_dir(args)
-        stats_path = out / "stats.json"
         counts = {"off": stats.off_count, "not": stats.not_count, "total": stats.total}
-        with atomic_write(stats_path) as fh:
-            fh.write(json.dumps(counts, indent=2) + "\n")
-        _write_manifest(out, "stats", run.raw, 0, [path], [stats_path])
+        with _run_dir(args, run, 0, [path]) as artifact:
+            artifact("stats.json", json.dumps(counts, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_normalize(args, run: RunConfig) -> int:
     path = _require_input(run.train_file, "input file")
-    out = _out_dir(args)
-    out_path = out / "normalized.tsv"
-    count = save_labeled_tsv(_normalized(read_labeled(path), run), out_path)
-    _write_manifest(out, "normalize", run.raw, 0, [path], [out_path])
+    with _run_dir(args, run, 0, [path]) as artifact:
+        out_path = artifact("normalized.tsv")
+        count = save_labeled_tsv(_normalized(read_labeled(path), run), out_path)
     print(f"normalized {count} examples -> {out_path}")
     return EXIT_OK
 
@@ -473,10 +462,9 @@ def cmd_normalize(args, run: RunConfig) -> int:
 def cmd_weaklabel(args, run: RunConfig) -> int:
     path = _require_input(run.scored_file, "scored input file")
     corpus = weak_label_file(path, run.weaklabel)
-    out = _out_dir(args)
-    out_path = out / "weak_train.tsv"
-    save_labeled_tsv(corpus, out_path)
-    _write_manifest(out, "weaklabel", run.raw, run.seed, [path], [out_path])
+    with _run_dir(args, run, run.seed, [path]) as artifact:
+        out_path = artifact("weak_train.tsv")
+        save_labeled_tsv(corpus, out_path)
     print(f"weakly labeled {len(corpus)} examples -> {out_path}")
     return EXIT_OK
 
@@ -490,13 +478,12 @@ def cmd_augment(args, run: RunConfig) -> int:
     with TranslationCache(journal) if journal else contextlib.nullcontext() as cache:
         policy = Policy(run.augment.policy)
         rows = augment_rows(corpus, pivots, provider, policy=policy, cache=cache)
-        out = _out_dir(args)
-        out_path = out / "augmented.tsv"
-        # Closed before the journal is: a failed write waits here for the
-        # requests a pooled provider has in flight, and their entries.
-        with contextlib.closing(rows):
+        # The rows are closed before the journal is: a failed write waits
+        # there for the requests a pooled provider has in flight, and their
+        # entries. Each entry is flushed when it is put, before the manifest.
+        with _run_dir(args, run, 0, [path]) as artifact, contextlib.closing(rows):
+            out_path = artifact("augmented.tsv")
             count = save_labeled_tsv(rows, out_path)
-    _write_manifest(out, "augment", run.raw, 0, [path], [out_path])
     print(f"augmented {len(corpus)} -> {count} examples -> {out_path}")
     return EXIT_OK
 
@@ -516,21 +503,11 @@ def cmd_train(args, run: RunConfig) -> int:
     model = EncoderModel.initialize(run.encoder, vocab.size)
     result = train_single(corpus, model, vocab, train_config)
 
-    out = _out_dir(args)
-    ckpt_path = out / "model.ckpt"
-    save_train_checkpoint(
-        ckpt_path,
-        result.model,
-        vocab,
-        result.head,
-        meta={"language": run.language, "seed": run.seed, "normalize": run.normalize},
-    )
-    trace_path = out / "loss_trace.csv"
-    with atomic_write(trace_path) as fh:
-        fh.write("epoch,mean_loss\n")
-        for epoch, loss in enumerate(result.loss_trace, start=1):
-            fh.write(f"{epoch},{loss!r}\n")
-    _write_manifest(out, "train", run.raw, run.seed, [path], [ckpt_path, trace_path])
+    with _run_dir(args, run, run.seed, [path]) as artifact:
+        meta = {"language": run.language, "seed": run.seed, "normalize": run.normalize}
+        save_train_checkpoint(artifact("model.ckpt"), result.model, vocab, result.head, meta=meta)
+        trace = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(result.loss_trace, 1))
+        artifact("loss_trace.csv", "epoch,mean_loss\n" + trace)
     print(f"trained {train_config.epochs} epochs; final mean loss {result.loss_trace[-1]:.4f}")
     return EXIT_OK
 
@@ -554,11 +531,8 @@ def cmd_evaluate(args, run: RunConfig) -> int:
     if len(set(preds)) == 1:
         print(f"warning: the classifier collapsed: all {len(preds)} predictions are "
               f"{preds[0].value}", file=sys.stderr)
-    out = _out_dir(args)
-    report_path = out / "report.json"
-    with atomic_write(report_path) as fh:
-        fh.write(report.to_json())
-    _write_manifest(out, "evaluate", run.raw, report.seed, [ckpt_path, test_path], [report_path])
+    with _run_dir(args, run, report.seed, [ckpt_path, test_path]) as artifact:
+        artifact("report.json", report.to_json())
     print(f"macro-F1 {report.macro_f1:.4f} accuracy {report.accuracy:.4f}")
     return EXIT_OK
 
@@ -573,19 +547,12 @@ def cmd_gridsearch(args, run: RunConfig) -> int:
     train_split, validation = split_holdout(corpus, run.holdout_fraction, run.seed)
     result = grid_search(lrs, batches, train_split, validation, base_config, run.encoder)
 
-    out = _out_dir(args)
-    cells_path = out / "grid_cells.tsv"
-    with atomic_write(cells_path) as fh:
-        fh.write("learning_rate\tbatch_size\tmacro_f1\taccuracy\tdiverged\n")
-        for cell in result.cells:
-            if cell.diverged:
-                fh.write(f"{cell.learning_rate:g}\t{cell.batch_size}\t\t\ttrue\n")
-            else:
-                fh.write(
-                    f"{cell.learning_rate:g}\t{cell.batch_size}\t"
-                    f"{cell.report.macro_f1:.4f}\t{cell.report.accuracy:.4f}\tfalse\n"
-                )
-    best_path = out / "best_config.json"
+    cells = ["learning_rate\tbatch_size\tmacro_f1\taccuracy\tdiverged\n"]
+    for cell in result.cells:
+        scores = "\t\ttrue" if cell.diverged else (
+            f"{cell.report.macro_f1:.4f}\t{cell.report.accuracy:.4f}\tfalse"
+        )
+        cells.append(f"{cell.learning_rate:g}\t{cell.batch_size}\t{scores}\n")
     best = result.best
     best_config = {
         "language": run.language,
@@ -594,43 +561,42 @@ def cmd_gridsearch(args, run: RunConfig) -> int:
         "epochs": best.epochs,
         "seed": run.seed,
     }
-    with atomic_write(best_path) as fh:
-        fh.write(json.dumps(best_config, indent=2) + "\n")
-    _write_manifest(out, "gridsearch", run.raw, run.seed, [path], [cells_path, best_path])
-    print(
-        f"best cell: lr={best.learning_rate:g} batch={best.batch_size}"
-    )
+    with _run_dir(args, run, run.seed, [path]) as artifact:
+        artifact("grid_cells.tsv", "".join(cells))
+        artifact("best_config.json", json.dumps(best_config, indent=2) + "\n")
+    print(f"best cell: lr={best.learning_rate:g} batch={best.batch_size}")
     return EXIT_OK
 
 
 def cmd_ablate(args, run: RunConfig) -> int:
     train_config = run.train()
-    out = _out_dir(args)
-
     if args.mode == "augmentation":
-        path = _require_input(run.train_file, "training file")
-        corpus = _load_corpus(path, run)
-        pivots = _pivot_set(run.augment, run.language)
-        provider = _make_provider(run.augment)
-        reports = ablation_augmentation(
-            corpus, pivots, provider, train_config, run.encoder,
-            holdout_fraction=run.holdout_fraction,
-        )
-        artifacts = _write_reports(out, reports, "table4")
-        _write_manifest(out, "ablate", run.raw, run.seed, [path], artifacts)
+        inputs = [_require_input(run.train_file, "training file")]
     else:
-        gold = _require_input(run.gold_file, "gold training file")
-        weak = _require_input(run.weak_file, "weak training file")
-        test = _require_input(run.test_file, "test file")
-        reports = ablation_english(
-            _load_corpus(gold, run),
-            _load_corpus(weak, run),
-            _load_corpus(test, run, split="test"),
-            train_config,
-            run.encoder,
-        )
-        artifacts = _write_reports(out, reports, "table3")
-        _write_manifest(out, "ablate", run.raw, run.seed, [gold, weak, test], artifacts)
+        inputs = [
+            _require_input(run.gold_file, "gold training file"),
+            _require_input(run.weak_file, "weak training file"),
+            _require_input(run.test_file, "test file"),
+        ]
+    with _run_dir(args, run, run.seed, inputs) as artifact:
+        if args.mode == "augmentation":
+            corpus = _load_corpus(inputs[0], run)
+            pivots = _pivot_set(run.augment, run.language)
+            provider = _make_provider(run.augment)
+            reports = ablation_augmentation(
+                corpus, pivots, provider, train_config, run.encoder,
+                holdout_fraction=run.holdout_fraction,
+            )
+            layout = "table4"
+        else:
+            gold, weak = (_load_corpus(p, run) for p in inputs[:2])
+            test = _load_corpus(inputs[2], run, split="test")
+            reports = ablation_english(gold, weak, test, train_config, run.encoder)
+            layout = "table3"
+        for i, report in enumerate(reports):
+            name = report.system.strip("+-").replace(" ", "_")
+            artifact(f"report_{i}_{name}.json", report.to_json())
+        artifact(f"{layout}.tsv", emit_report_table(reports, layout))
     for report in reports:
         print(f"{report.system}: macro-F1 {report.macro_f1:.4f} accuracy {report.accuracy:.4f}")
     return EXIT_OK

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,6 +33,7 @@ RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, USER_ID = range(5)
 
 _TOKEN_RE = re.compile(r"\[sep\]|<user>|\w+|[^\w\s]")
+_ATOMIC = ("[sep]", "<user>")  # tokens that no mark joins
 _LN_EPS = 1e-12
 _MASK_BIAS = -1e9
 _SQRT2 = math.sqrt(2.0)
@@ -40,10 +42,39 @@ _SQRT2 = math.sqrt(2.0)
 def tokenize(text: str) -> list[str]:
     """Whitespace/punctuation tokenization, uncased. `<user>` stays atomic and
     a literal "[SEP]" (the rendered augmentation separator) maps back to the
-    reserved separator token."""
-    return [
-        "[SEP]" if tok == "[sep]" else tok for tok in _TOKEN_RE.findall(text.lower())
-    ]
+    reserved separator token. Text that is not ASCII is put in NFC first, and
+    a combining mark stays inside the word it touches."""
+    text = text.lower()
+    if text.isascii():
+        tokens = _TOKEN_RE.findall(text)
+    else:
+        text = unicodedata.normalize("NFC", text)
+        tokens = _TOKEN_RE.findall(text)
+        if any(len(tok) == 1 and _is_mark(tok) for tok in tokens):
+            tokens = _marks_joined(text)
+    return ["[SEP]" if tok == "[sep]" else tok for tok in tokens]
+
+
+def _is_mark(char: str) -> bool:
+    return unicodedata.category(char)[0] == "M"
+
+
+def _marks_joined(text: str) -> list[str]:
+    """The tokens of text with each combining mark joined to the tokens it
+    touches: \\w matches no mark, so _TOKEN_RE makes each one a token of its
+    own that cuts its word in two."""
+    tokens: list[str] = []
+    end, after_mark = -1, False
+    for match in _TOKEN_RE.finditer(text):
+        tok = match.group()
+        mark = len(tok) == 1 and _is_mark(tok)
+        if match.start() == end and (mark or after_mark) and tok not in _ATOMIC:
+            tokens[-1] += tok
+        else:
+            tokens.append(tok)
+        end = -1 if tok in _ATOMIC else match.end()  # so that nothing joins it
+        after_mark = mark
+    return tokens
 
 
 @dataclass

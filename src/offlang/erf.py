@@ -108,10 +108,9 @@ def erf(x, out=None) -> np.ndarray:
         raise ValueError("out must be a C-contiguous float64 array of x's shape")
     flat, dest = x.reshape(-1), out.reshape(-1)
     n = flat.size
-    z, s = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
+    # x * pp / qq has a block of its own, so that out may be x.
+    z, s, q = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
     special = np.empty(z.size, dtype=bool)  # |x| < 2^-28, |x| >= 0.84375 or nan
-    # In place, x * pp / qq needs a block of its own.
-    q = np.empty(z.size) if out is x else None
     rest, held = [], []  # the special elements' positions and inputs
     # inf and nan inputs make inf - inf and 0 / 0 in the small branch, whose
     # results the other branches replace.
@@ -119,7 +118,7 @@ def erf(x, out=None) -> np.ndarray:
         for start in range(0, n, BLOCK):
             xb, ob = flat[start : start + BLOCK], dest[start : start + BLOCK]
             if xb.size < z.size:
-                z, s, special = z[: xb.size], s[: xb.size], special[: xb.size]
+                z, s, q, special = z[: xb.size], s[: xb.size], q[: xb.size], special[: xb.size]
             np.multiply(xb, xb, out=z)
             bits = s.view(np.int64)
             np.subtract(z.view(np.int64), _Z_LO, out=bits)
@@ -129,8 +128,8 @@ def erf(x, out=None) -> np.ndarray:
             if idx.size:
                 rest.append(idx + start)
                 held.append(xb[idx])
-            # x + x * pp / qq, built in the output block unless that is x
-            r = _horner(_PP, z, ob if q is None else q[: xb.size])
+            # x + x * pp / qq
+            r = _horner(_PP, z, q)
             r /= _horner(_QQ, z, s)
             r *= xb
             np.add(r, xb, out=ob)

@@ -5,6 +5,7 @@ their rows."""
 
 import contextlib
 import random
+from pathlib import Path
 
 import numpy as np
 
@@ -202,16 +203,21 @@ def in_memory_augment_corpus(corpus, pivots, provider, *, policy, cache) -> Corp
     examples = []
     for original in corpus:
         examples.append(original)
-        for aug in augment_example(
+        examples += augment_example(
             original, pivots, provider, corpus.language, cache=cache, policy=policy
-        ):
-            examples.append(LabeledExample(aug.id, aug.rendered_text, aug.label))
+        )
     return Corpus(corpus.language, corpus.split, examples)
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _in_memory_normalize(args, run) -> int:
     path = cli._require_input(run.train_file, "input file")
-    out = cli._out_dir(args)
+    out = _out_dir(args)
     corpus = load_labeled_tsv(path, language=run.language)
     norm_config = run.normalize_maps.load()
     examples = [LabeledExample(ex.id, normalize(ex.text, norm_config), ex.label) for ex in corpus]
@@ -223,7 +229,7 @@ def _in_memory_normalize(args, run) -> int:
 def _in_memory_weaklabel(args, run) -> int:
     path = cli._require_input(run.scored_file, "scored input file")
     corpus = in_memory_weak_corpus(load_scored_tsv(path), run.weaklabel)
-    corpus_mod.save_labeled_tsv(corpus, cli._out_dir(args) / "weak_train.tsv")
+    corpus_mod.save_labeled_tsv(corpus, _out_dir(args) / "weak_train.tsv")
     return cli.EXIT_OK
 
 
@@ -237,7 +243,7 @@ def _in_memory_augment(args, run) -> int:
         augmented = in_memory_augment_corpus(
             corpus, pivots, provider, policy=Policy(run.augment.policy), cache=cache
         )
-    corpus_mod.save_labeled_tsv(augmented, cli._out_dir(args) / "augmented.tsv")
+    corpus_mod.save_labeled_tsv(augmented, _out_dir(args) / "augmented.tsv")
     return cli.EXIT_OK
 
 

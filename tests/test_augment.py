@@ -1,11 +1,17 @@
 import logging
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import offlang
 from offlang.augment import (
     TAIL_BLOCK,
     HttpProvider,
@@ -233,6 +239,46 @@ class TestTornJournal:
         assert augmented.texts() == ["hi", "hi [SEP] H-FR", "hi [SEP] H-DE"]
         assert path.read_bytes() == journal
 
+    def test_failed_put_is_not_raised_again_by_close(self, tmp_path):
+        # The journal has room for 30 bytes of the next 33-byte line under a
+        # file size limit set in the child only, as a full disk would stop it;
+        # the child lifts the limit before its last put.
+        path = tmp_path / "cache.tsv"
+        complete = "".join(f"w{i}\ten\tfr\tx\n" for i in range(100)).encode("utf-8")
+        path.write_bytes(complete)
+        limit = len(complete) + 30
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        child = "\n".join([
+            "import resource, sys",
+            "from offlang.augment import TranslationCache",
+            "from offlang.errors import JournalWriteFailed",
+            "cache = TranslationCache(sys.argv[1])",
+            "try:",
+            "    cache.put('new 0', 'en', 'fr', 'y' * 20)",
+            "except JournalWriteFailed as exc:",
+            "    print('put failed:', exc.strerror)",
+            "cache.close()",
+            "print('closed')",
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[2]),) * 2)",
+            "with cache:",
+            "    cache.put('after', 'en', 'fr', 'z')",
+        ])
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+        src = str(Path(offlang.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(path), str(hard)],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_file_size,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "put failed: File too large\nclosed\n"
+        # The torn line was cut before the next append.
+        assert path.read_bytes() == complete + b"after\ten\tfr\tz\n"
+        assert len(TranslationCache(path)) == 101
+
     def test_malformed_complete_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("good\ten\tde\tgut\n\nbad\ten\n", encoding="utf-8")
@@ -392,10 +438,10 @@ def example(i=0, label=Label.OFF, text="iyi günler"):
 class TestAugmentExample:
     def test_three_pivots(self):
         out = augment_example(example(), PivotSet(), MockTaggingProvider(), "tr")
-        assert [a.pivot for a in out] == ["en", "fr", "de"]
-        assert out[0].rendered_text == "iyi günler [SEP] en⟦iyi günler⟧"
-        assert out[1].rendered_text == "iyi günler [SEP] fr⟦iyi günler⟧"
-        assert out[2].rendered_text == "iyi günler [SEP] de⟦iyi günler⟧"
+        assert [a.id.rsplit("-", 1)[1] for a in out] == ["en", "fr", "de"]
+        assert out[0].text == "iyi günler [SEP] en⟦iyi günler⟧"
+        assert out[1].text == "iyi günler [SEP] fr⟦iyi günler⟧"
+        assert out[2].text == "iyi günler [SEP] de⟦iyi günler⟧"
         assert all(a.label is Label.OFF for a in out)
 
     def test_label_preserved(self):
@@ -406,7 +452,7 @@ class TestAugmentExample:
         out = augment_example(
             example(), PivotSet(), FlakyProvider("fr"), "tr", policy=Policy.SKIP_ON_ERROR
         )
-        assert [a.pivot for a in out] == ["en", "de"]
+        assert [a.id.rsplit("-", 1)[1] for a in out] == ["en", "de"]
 
     def test_fail_fast_annotates_pivot(self):
         with pytest.raises(AugmentationFailed) as exc:
@@ -417,7 +463,7 @@ class TestAugmentExample:
 
     def test_skip_on_error_is_the_default(self):
         out = augment_example(example(), PivotSet(), FlakyProvider("fr"), "tr")
-        assert [a.pivot for a in out] == ["en", "de"]
+        assert [a.id.rsplit("-", 1)[1] for a in out] == ["en", "de"]
 
     def test_ids_carry_pivot_suffix(self):
         out = augment_example(example(3), PivotSet(), MockTaggingProvider(), "tr")

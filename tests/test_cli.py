@@ -187,6 +187,7 @@ class TestExitCodes:
             ("encoder: {hiden_size: 8}\n", "encoder.hiden_size"),
             ("train: {epoch: 1}\n", "train.epoch"),
             ("train: {seed: 4}\n", "train.seed"),
+            ("encoder: {init_seed: 3}\n", "unknown config key encoder.init_seed"),
             ("train: 5\n", "'train' must be a mapping"),
             ("encoder: [8]\n", "'encoder' must be a mapping"),
             ('train: {epochs: "4"}\n', "train.epochs must be int, got '4'"),
@@ -201,7 +202,8 @@ class TestExitCodes:
         ],
         ids=[
             "malformed_yaml", "unknown_encoder_key", "unknown_train_key",
-            "seed_in_train_section", "scalar_section", "list_section",
+            "seed_in_train_section", "init_seed_in_encoder_section", "scalar_section",
+            "list_section",
             "string_for_int", "string_for_float", "bool_for_int", "null_for_int",
             "null_for_encoder_int", "bool_for_float", "float_seed", "zero_epochs",
             "hidden_not_divisible",
@@ -1073,6 +1075,73 @@ class TestAblateCommand:
                 raw_bytes = (workspace / "ablate_raw" / name).read_bytes()
                 assert raw_bytes == (workspace / "ablate_pre" / name).read_bytes(), name
         capsys.readouterr()
+
+
+TINY_YAML = """
+language: tr
+seed: 11
+encoder: {hidden_size: 8, num_layers: 1, num_heads: 2, max_len: 16, vocab_cap: 50}
+train: {epochs: 1, batch_size: 8, learning_rate: 0.008}
+"""
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    """Inputs for every command at a tiny config (seed 11), and a checkpoint
+    trained at seed 5 for evaluate."""
+    d = tmp_path_factory.mktemp("run_dir")
+    (d / "run.yaml").write_text(TINY_YAML, encoding="utf-8")
+    save_labeled_tsv(mini_corpus("tr", 40, seed=5), d / "train.tsv")
+    save_labeled_tsv(mini_corpus("tr", 16, seed=6, split="test"), d / "test.tsv")
+    scored = [f"s{i}\tscored tweet {i}\t{i / 39:.3f}" for i in range(40)]
+    (d / "scored.tsv").write_text("\n".join(scored) + "\n", encoding="utf-8")
+    save_labeled_tsv(mini_corpus("en", 32, seed=7), d / "gold.tsv")
+    save_labeled_tsv(mini_corpus("en", 32, seed=8, split="weak"), d / "weak.tsv")
+    save_labeled_tsv(mini_corpus("en", 16, seed=9, split="test"), d / "test_en.tsv")
+    code = run_quietly("train", "--config", d / "run.yaml", "--input", d / "train.tsv",
+                       "--seed", "5", "--out-dir", d / "ckpt")[0]
+    assert code == EXIT_OK
+    return d
+
+
+# Each command line (with --config run.yaml), the inputs its manifest names
+# and the seed it records: 0 for the stages that draw no random numbers, the
+# checkpoint's for evaluate.
+RUN_DIRS = {
+    "stats": (("stats", "--input", "train.tsv"), ["train.tsv"], 0),
+    "normalize": (("normalize", "--input", "train.tsv"), ["train.tsv"], 0),
+    "weaklabel": (("weaklabel", "--input", "scored.tsv", "--per-class", "3"), ["scored.tsv"], 11),
+    "augment": (("augment", "--input", "train.tsv", "--pivots", "en,fr"), ["train.tsv"], 0),
+    "train": (("train", "--input", "train.tsv"), ["train.tsv"], 11),
+    "evaluate": (("evaluate", "--checkpoint", "ckpt/model.ckpt", "--input", "test.tsv"),
+                 ["ckpt/model.ckpt", "test.tsv"], 5),
+    "gridsearch": (("gridsearch", "--input", "train.tsv", "--learning-rates", "0.008,10000.0",
+                    "--batch-sizes", "8"), ["train.tsv"], 11),
+    "ablate_augmentation": (("ablate", "--mode", "augmentation", "--input", "train.tsv",
+                             "--pivots", "en,fr"), ["train.tsv"], 11),
+    "ablate_english": (("ablate", "--mode", "english", "--language", "en", "--gold", "gold.tsv",
+                        "--weak", "weak.tsv", "--test", "test_en.tsv"),
+                       ["gold.tsv", "weak.tsv", "test_en.tsv"], 11),
+}
+
+
+@pytest.mark.parametrize("case", RUN_DIRS)
+def test_manifest_lists_every_file_of_its_run_directory(run_inputs, tmp_path, case):
+    argv, inputs, seed = RUN_DIRS[case]
+    d, out = run_inputs, tmp_path / "o"
+    # Every value that names a file is relative to the inputs' directory.
+    argv = [str(d / a) if (d / a).is_file() else a for a in argv]
+    code, err = run_quietly(*argv, "--config", d / "run.yaml", "--out-dir", out)
+    assert code == EXIT_OK, err
+
+    def sha256(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["command"], manifest["seed"]) == (argv[0], seed)
+    files = {p.name: sha256(p) for p in out.iterdir() if p.name != "manifest.json"}
+    assert manifest["artifacts"] == files and files
+    assert manifest["inputs"] == {str(d / name): sha256(d / name) for name in inputs}
 
 
 class TestReportTable:

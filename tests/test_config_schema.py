@@ -24,7 +24,7 @@ SECTIONS = {
     "encoder": {
         "hidden_size": ("int",), "num_layers": ("int",), "num_heads": ("int",),
         "ffn_size": ("int",), "max_len": ("int",), "vocab_cap": ("int",),
-        "dropout": ("float",), "init_seed": ("int",),
+        "dropout": ("float",),
     },
     "train": {
         "epochs": ("int",), "batch_size": ("int", "null"), "learning_rate": ("float", "null"),

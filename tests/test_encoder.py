@@ -1,3 +1,6 @@
+import re
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,28 @@ class TestTokenize:
 
     def test_rendered_separator_atomic(self):
         assert tokenize("iyi [SEP] good") == ["iyi", "[SEP]", "good"]
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("مَرْحَبًا بِكُم", ["مَرْحَبًا", "بِكُم"]),
+            ("İYİ AKŞAMLAR", ["i\u0307yi\u0307", "akşamlar"]),  # str.lower: İ -> i + U+0307
+            (unicodedata.normalize("NFD", "Καλημέρα"), ["καλημέρα"]),
+            ("\u0308[SEP] <user>\u0301", ["\u0308", "[SEP]", "<user>", "\u0301"]),
+        ],
+        ids=["arabic_harakat", "turkish_capital_dotted_i", "decomposed_greek", "atomic_tokens"],
+    )
+    def test_combining_marks_stay_inside_their_word(self, text, tokens):
+        assert tokenize(text) == tokens
+
+    @given(st.text(st.characters(categories=("L", "M")), min_size=1))
+    def test_a_run_of_letters_and_marks_is_one_token(self, word):
+        assert tokenize(word) == [unicodedata.normalize("NFC", word.lower())]
+
+    @given(st.text(st.characters(max_codepoint=127)))
+    def test_ascii_text_tokenizes_as_before(self, text):
+        before = re.findall(r"\[sep\]|<user>|\w+|[^\w\s]", text.lower())
+        assert tokenize(text) == ["[SEP]" if tok == "[sep]" else tok for tok in before]
 
 
 class TestBuildVocab:
