@@ -278,7 +278,6 @@ class TranslationCache:
             key = (text, source, target)
             if key in self._entries:
                 return
-            self._entries[key] = translation
             try:
                 if self._journal is None:
                     self._journal = self._open_journal()
@@ -290,11 +289,15 @@ class TranslationCache:
                 self._give_up_journal()
                 where = exc.filename or str(self.path)
                 raise JournalWriteFailed(exc.errno, exc.strerror or str(exc), where) from exc
+            # Recorded once written, so that the same put can be tried again.
+            self._entries[key] = translation
 
     def _give_up_journal(self) -> None:
         """Close the journal after a failed write, so that close() does not
         raise the failure again for the line still in its buffer. A torn
-        line that the failure left is cut before the next append."""
+        line that the failure left is cut before the next append. (Should
+        the close write the line after all, a retried put writes it again,
+        and the later of two equal lines wins on load.)"""
         journal, self._journal = self._journal, None
         with contextlib.suppress(OSError):
             if journal is not None:

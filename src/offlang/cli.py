@@ -504,8 +504,13 @@ def cmd_train(args, run: RunConfig) -> int:
     result = train_single(corpus, model, vocab, train_config)
 
     with _run_dir(args, run, run.seed, [path]) as artifact:
-        meta = {"language": run.language, "seed": run.seed, "normalize": run.normalize}
-        save_train_checkpoint(artifact("model.ckpt"), result.model, vocab, result.head, meta=meta)
+        save_train_checkpoint(
+            artifact("model.ckpt"),
+            result.model,
+            vocab,
+            result.head,
+            meta={"language": run.language, "seed": run.seed, "normalize": run.normalize},
+        )
         trace = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(result.loss_trace, 1))
         artifact("loss_trace.csv", "epoch,mean_loss\n" + trace)
     print(f"trained {train_config.epochs} epochs; final mean loss {result.loss_trace[-1]:.4f}")
@@ -549,10 +554,13 @@ def cmd_gridsearch(args, run: RunConfig) -> int:
 
     cells = ["learning_rate\tbatch_size\tmacro_f1\taccuracy\tdiverged\n"]
     for cell in result.cells:
-        scores = "\t\ttrue" if cell.diverged else (
-            f"{cell.report.macro_f1:.4f}\t{cell.report.accuracy:.4f}\tfalse"
-        )
-        cells.append(f"{cell.learning_rate:g}\t{cell.batch_size}\t{scores}\n")
+        if cell.diverged:
+            cells.append(f"{cell.learning_rate:g}\t{cell.batch_size}\t\t\ttrue\n")
+        else:
+            cells.append(
+                f"{cell.learning_rate:g}\t{cell.batch_size}\t"
+                f"{cell.report.macro_f1:.4f}\t{cell.report.accuracy:.4f}\tfalse\n"
+            )
     best = result.best
     best_config = {
         "language": run.language,
@@ -564,7 +572,9 @@ def cmd_gridsearch(args, run: RunConfig) -> int:
     with _run_dir(args, run, run.seed, [path]) as artifact:
         artifact("grid_cells.tsv", "".join(cells))
         artifact("best_config.json", json.dumps(best_config, indent=2) + "\n")
-    print(f"best cell: lr={best.learning_rate:g} batch={best.batch_size}")
+    print(
+        f"best cell: lr={best.learning_rate:g} batch={best.batch_size}"
+    )
     return EXIT_OK
 
 

@@ -33,7 +33,6 @@ RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, USER_ID = range(5)
 
 _TOKEN_RE = re.compile(r"\[sep\]|<user>|\w+|[^\w\s]")
-_ATOMIC = ("[sep]", "<user>")  # tokens that no mark joins
 _LN_EPS = 1e-12
 _MASK_BIAS = -1e9
 _SQRT2 = math.sqrt(2.0)
@@ -48,10 +47,7 @@ def tokenize(text: str) -> list[str]:
     if text.isascii():
         tokens = _TOKEN_RE.findall(text)
     else:
-        text = unicodedata.normalize("NFC", text)
-        tokens = _TOKEN_RE.findall(text)
-        if any(len(tok) == 1 and _is_mark(tok) for tok in tokens):
-            tokens = _marks_joined(text)
+        tokens = _marks_joined(unicodedata.normalize("NFC", text))
     return ["[SEP]" if tok == "[sep]" else tok for tok in tokens]
 
 
@@ -59,21 +55,27 @@ def _is_mark(char: str) -> bool:
     return unicodedata.category(char)[0] == "M"
 
 
+def _in_word(tok: str) -> bool:
+    """Whether tok starts with a word character (as \\w matches) or a mark."""
+    return tok[0].isalnum() or tok[0] == "_" or _is_mark(tok[0])
+
+
 def _marks_joined(text: str) -> list[str]:
-    """The tokens of text with each combining mark joined to the tokens it
-    touches: \\w matches no mark, so _TOKEN_RE makes each one a token of its
-    own that cuts its word in two."""
+    """The tokens of text with each combining mark joined to the word tokens
+    it touches: \\w matches no mark, so _TOKEN_RE makes each one a token of
+    its own that cuts its word in two. Punctuation, `[sep]` and `<user>`
+    join nothing."""
     tokens: list[str] = []
     end, after_mark = -1, False
     for match in _TOKEN_RE.finditer(text):
         tok = match.group()
         mark = len(tok) == 1 and _is_mark(tok)
-        if match.start() == end and (mark or after_mark) and tok not in _ATOMIC:
+        touching = match.start() == end and (mark or after_mark)
+        if touching and _in_word(tok) and _in_word(tokens[-1]):
             tokens[-1] += tok
         else:
             tokens.append(tok)
-        end = -1 if tok in _ATOMIC else match.end()  # so that nothing joins it
-        after_mark = mark
+        end, after_mark = match.end(), mark
     return tokens
 
 

@@ -242,7 +242,7 @@ class TestTornJournal:
     def test_failed_put_is_not_raised_again_by_close(self, tmp_path):
         # The journal has room for 30 bytes of the next 33-byte line under a
         # file size limit set in the child only, as a full disk would stop it;
-        # the child lifts the limit before its last put.
+        # the child lifts the limit and tries the failed put again.
         path = tmp_path / "cache.tsv"
         complete = "".join(f"w{i}\ten\tfr\tx\n" for i in range(100)).encode("utf-8")
         path.write_bytes(complete)
@@ -261,6 +261,7 @@ class TestTornJournal:
             "print('closed')",
             "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[2]),) * 2)",
             "with cache:",
+            "    cache.put('new 0', 'en', 'fr', 'y' * 20)",
             "    cache.put('after', 'en', 'fr', 'z')",
         ])
 
@@ -275,9 +276,11 @@ class TestTornJournal:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "put failed: File too large\nclosed\n"
-        # The torn line was cut before the next append.
-        assert path.read_bytes() == complete + b"after\ten\tfr\tz\n"
-        assert len(TranslationCache(path)) == 101
+        # The torn line was cut before the next append, and the retried put
+        # wrote its line.
+        retried = b"new 0\ten\tfr\t" + b"y" * 20 + b"\n"
+        assert path.read_bytes() == complete + retried + b"after\ten\tfr\tz\n"
+        assert len(TranslationCache(path)) == 102
 
     def test_malformed_complete_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "cache.tsv"

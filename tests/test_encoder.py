@@ -63,8 +63,15 @@ class TestTokenize:
             ("İYİ AKŞAMLAR", ["i\u0307yi\u0307", "akşamlar"]),  # str.lower: İ -> i + U+0307
             (unicodedata.normalize("NFD", "Καλημέρα"), ["καλημέρα"]),
             ("\u0308[SEP] <user>\u0301", ["\u0308", "[SEP]", "<user>", "\u0301"]),
+            ("İYİ!", ["i\u0307yi\u0307", "!"]),
+            ("GELDİ! İYİ?", ["geldi\u0307", "!", "i\u0307yi\u0307", "?"]),
+            ("كتبَ؟", ["كتبَ", "؟"]),
         ],
-        ids=["arabic_harakat", "turkish_capital_dotted_i", "decomposed_greek", "atomic_tokens"],
+        ids=[
+            "arabic_harakat", "turkish_capital_dotted_i", "decomposed_greek", "atomic_tokens",
+            "turkish_final_mark_then_punctuation", "turkish_two_words_with_punctuation",
+            "arabic_final_haraka_then_punctuation",
+        ],
     )
     def test_combining_marks_stay_inside_their_word(self, text, tokens):
         assert tokenize(text) == tokens
@@ -72,6 +79,16 @@ class TestTokenize:
     @given(st.text(st.characters(categories=("L", "M")), min_size=1))
     def test_a_run_of_letters_and_marks_is_one_token(self, word):
         assert tokenize(word) == [unicodedata.normalize("NFC", word.lower())]
+
+    @given(
+        st.text(st.characters(categories=("L", "M")), min_size=1),
+        st.characters(categories=("M",)),
+        st.characters(categories=("P",), exclude_characters="_"),
+    )
+    def test_punctuation_after_a_word_is_a_token_of_its_own(self, word, mark, punct):
+        word += mark  # a word that ends in a mark, unless NFC composes it
+        expected = [unicodedata.normalize("NFC", tok) for tok in (word.lower(), punct)]
+        assert tokenize(word + punct) == expected
 
     @given(st.text(st.characters(max_codepoint=127)))
     def test_ascii_text_tokenizes_as_before(self, text):
