@@ -138,10 +138,12 @@ def _fingerprint(config: dict) -> str:
 def _run_dir(args, run: RunConfig, seed: int, inputs: list[Path]):
     """The run directory --out-dir, made on entry. Yields artifact(name,
     text=None), which records the artifact `name` and returns its path in
-    the directory, writing `text` there atomically when it is given. On a
-    clean exit, the manifest of the recorded artifacts is written last."""
+    the directory, writing `text` there atomically when it is given. The
+    previous manifest is removed on entry and, on a clean exit, the manifest
+    of the recorded artifacts is written last, so it commits the run."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     artifacts: list[Path] = []
 
     def artifact(name: str, text: str | None = None) -> Path:

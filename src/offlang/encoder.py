@@ -203,9 +203,6 @@ class EncoderModel:
                 params[name] = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
         return cls(config, params)
 
-    def copy(self) -> "EncoderModel":
-        return EncoderModel(self.config, {k: v.copy() for k, v in self.params.items()})
-
 
 def gelu(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(GELU(x), Phi(x)) where GELU(x) = x * Phi(x) and Phi is the standard
@@ -277,9 +274,10 @@ def _heads(rows, slots, batch, length, num_heads):
 
 
 def _unheads(heads, slots):
-    """Gather the `slots` rows of (batch, heads, length, dk) heads as (n, h)."""
+    """Gather the `slots` rows of (batch, heads, length, dk) heads as (n, h),
+    in one copy."""
     batch, num_heads, length, dk = heads.shape
-    return heads.transpose(0, 2, 1, 3).reshape(batch * length, num_heads * dk)[slots]
+    return heads[slots // length, :, slots % length].reshape(len(slots), num_heads * dk)
 
 
 def _layer(p, pre, x, real, q_slots, T, num_heads, attn_bias, drop, cache):
@@ -451,15 +449,17 @@ def forward(
     return x, {"ids": ids, "real": real, "emb_keep": emb_keep, "layers": layers}
 
 
-def backward(model: EncoderModel, cache: dict, d_cls: np.ndarray) -> dict[str, np.ndarray]:
+def backward(model: EncoderModel, cache: dict, d_cls: np.ndarray, grads: dict | None = None) -> dict:
     """Gradients of every encoder parameter given the loss gradient at the CLS
-    vectors. Mirrors forward() exactly, on the same packed rows: the last
-    layer's gradients enter at the [CLS] rows only, and the embedding
-    gradients are scattered from the real rows. Dropout masks come from the
-    cache."""
+    vectors, added into `grads` (arrays by parameter name) when given, else
+    into new zero arrays; returns them. Mirrors forward() exactly, on the same
+    packed rows: the last layer's gradients enter at the [CLS] rows only, and
+    the embedding gradients are scattered from the real rows. Dropout masks
+    come from the cache."""
     p = model.params
     ids, real = cache["ids"], cache["real"]
-    grads = {name: np.zeros_like(tensor) for name, tensor in p.items()}
+    if grads is None:
+        grads = {name: np.zeros_like(tensor) for name, tensor in p.items()}
     dx = d_cls
     for i in reversed(range(model.config.num_layers)):
         dx = _layer_backward(p, f"layer{i}.", cache["layers"][i], dx, real, grads)

@@ -4,6 +4,10 @@ A two-way classification head sits on the CLS vector; training backpropagates
 through head and encoder and applies Adam updates. Everything is driven by one
 seeded generator in a fixed order, so a (seed, data, config) triple maps to
 bitwise-identical final parameters.
+
+Each fit keeps its parameters in one contiguous float64 buffer (the model's
+`params` and the head are views of it) and its gradients in another, zeroed in
+place per step; Adam updates it in place one erf.BLOCK at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .encoder import (
     tensor_mismatch,
     _truncated_normal,
 )
+from .erf import BLOCK
 from .errors import DivergenceError, EmptyCorpus
 
 # (batch size, learning rate) per language, as tuned for the fine-tuning runs.
@@ -110,16 +115,17 @@ class ClassifierHead:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
-    @classmethod
-    def init_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+
+def _packed(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The arrays copied end to end, in order, into one contiguous float64
+    buffer, and a view of the buffer in each array's shape by name."""
+    buffer = np.concatenate([np.ravel(a) for a in arrays.values()])
+    parts = np.split(buffer, np.cumsum([a.size for a in arrays.values()])[:-1])
+    return buffer, {name: part.reshape(a.shape) for (name, a), part in zip(arrays.items(), parts)}
 
 
 def _batch_cross_entropy(logits: np.ndarray, label_idx: np.ndarray):
@@ -132,29 +138,20 @@ def _batch_cross_entropy(logits: np.ndarray, label_idx: np.ndarray):
     return float(losses.mean()), dlogits / len(label_idx)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """Standard Adam with bias correction; updates params and state in place."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """Standard Adam with bias correction over 1-D params and grads; updates
+    params and state in place, BLOCK elements at a time, so that its
+    temporaries are at most one block each and stay in the L2 cache."""
+    if params.ndim != 1 or params.shape != grads.shape:
+        raise ValueError(f"params {params.shape} and grads {grads.shape} must be equal 1-D shapes")
     state.t += 1
-    for name, grad in grads.items():
-        if params[name].shape != grad.shape:
-            raise ValueError(
-                f"shape mismatch for {name}: param {params[name].shape} vs grad {grad.shape}"
-            )
-        m = state.m[name]
-        v = state.v[name]
+    for start in range(0, params.size, BLOCK):
+        p, g, m, v = (a[start : start + BLOCK] for a in (params, grads, state.m, state.v))
         m *= BETA1
-        m += (1 - BETA1) * grad
+        m += (1 - BETA1) * g
         v *= BETA2
-        v += (1 - BETA2) * grad * grad
-        m_hat = m / (1 - BETA1**state.t)
-        v_hat = v / (1 - BETA2**state.t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-    return params, state
+        v += (1 - BETA2) * g * g
+        p -= lr * (m / (1 - BETA1**state.t)) / (np.sqrt(v / (1 - BETA2**state.t)) + EPS)
 
 
 @dataclass
@@ -182,32 +179,33 @@ def frozen_features(model: EncoderModel, texts: list[str], vocab: Vocabulary) ->
 
 
 def _fit(
-    params: dict[str, np.ndarray],
-    n: int,
-    step,
-    config: TrainConfig,
+    params: np.ndarray, views: dict[str, np.ndarray], n: int, step, config: TrainConfig,
     rng: np.random.Generator,
 ) -> list[float]:
     """The training loop shared by every mode; returns the mean loss per epoch.
 
     Each epoch walks one seeded permutation of the n rows in mini-batches (the
     final short batch is used, not dropped). step(sel) returns the batch's
-    mean loss and a callable giving the gradients of `params`; the loss is
-    checked for divergence before any backward pass, then Adam updates
-    `params` in place. The callable, and the activations it holds, is
-    released before the next batch's step."""
-    adam = AdamState.init_like(params)
+    mean loss and a callable that adds its gradients into views, shaped as
+    `views` of the flat `params`, of one gradient buffer. The loss is checked
+    for divergence before any backward pass, the buffer is zeroed in place,
+    then Adam updates `params` in place. The callable, and the activations it
+    holds, is released before the next batch's step."""
+    grads, grad_views = _packed(views)
+    adam = AdamState(np.zeros_like(params), np.zeros_like(params))
     trace: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
         for b_start in range(0, n, config.batch_size):
             sel = perm[b_start : b_start + config.batch_size]
-            loss, grads = step(sel)
+            loss, backprop = step(sel)
             _check_divergence(loss, epoch, b_start // config.batch_size)
             epoch_loss += loss * len(sel)
-            adam_step(params, grads(), adam, config.learning_rate)
-            del grads
+            grads.fill(0.0)
+            backprop(grad_views)
+            adam_step(params, grads, adam, config.learning_rate)
+            del backprop
         trace.append(epoch_loss / n)
     return trace
 
@@ -221,17 +219,25 @@ def train_head(
 ) -> tuple[ClassifierHead, list[float]]:
     """Train a head on fixed sentence vectors (n, d), as from frozen encoders.
     Its initialization and shuffling are seeded from config.seed alone, so
-    heads trained in any order on the same vectors are identical."""
-    head = ClassifierHead.initialize(vectors.shape[1], config.seed)
+    heads trained in any order on the same vectors are identical. The head's
+    w and b are views of one buffer."""
+    init = ClassifierHead.initialize(vectors.shape[1], config.seed)
+    params, views = _packed({"head.w": init.w, "head.b": init.b})
+    head = ClassifierHead(w=views["head.w"], b=views["head.b"])
 
     def step(sel):
         x = vectors[sel]
         loss, dlogits = _batch_cross_entropy(x @ head.w + head.b, y[sel])
-        return loss, lambda: {"head.w": x.T @ dlogits, "head.b": dlogits.sum(axis=0)}
+        return loss, lambda grads: _head_backward(x, dlogits, grads)
 
-    params = {"head.w": head.w, "head.b": head.b}
-    trace = _fit(params, len(y), step, config, np.random.default_rng(config.seed))
+    trace = _fit(params, views, len(y), step, config, np.random.default_rng(config.seed))
     return head, trace
+
+
+def _head_backward(x: np.ndarray, dlogits: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Add the head's gradients, given its input rows x, into grads."""
+    grads["head.w"] += x.T @ dlogits
+    grads["head.b"] += dlogits.sum(axis=0)
 
 
 def train_single(
@@ -239,31 +245,31 @@ def train_single(
 ) -> TrainResult:
     """Fine-tune encoder + head with cross-entropy over seeded-shuffled
     mini-batches, each encoded when it is drawn and padded to its longest row.
-    The input model is not mutated."""
+    The input model is not mutated: the result's model params and head are
+    views of one new buffer."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
-    model = model.copy()
     texts = corpus.texts()
     y = label_ids(corpus)
     rng = np.random.default_rng(config.seed)
-    head = ClassifierHead.initialize(model.config.hidden_size, config.seed)
-    params = {"head.w": head.w, "head.b": head.b}
-    params.update({f"enc.{k}": v for k, v in model.params.items()})
+    init = ClassifierHead.initialize(model.config.hidden_size, config.seed)
+    # No encoder parameter is named head.*, so backward() can take these views.
+    params, views = _packed({"head.w": init.w, "head.b": init.b, **model.params})
+    head = ClassifierHead(w=views["head.w"], b=views["head.b"])
+    model = EncoderModel(model.config, {k: views[k] for k in model.params})
 
     def step(sel):
         ids, mask = encode_corpus([texts[i] for i in sel], vocab, model.config.max_len)
         cls, cache = forward(model, ids, mask, train=True, dropout_rng=rng)
         loss, dlogits = _batch_cross_entropy(cls @ head.w + head.b, y[sel])
 
-        def grads():
-            out = {"head.w": cls.T @ dlogits, "head.b": dlogits.sum(axis=0)}
-            enc_grads = backward(model, cache, dlogits @ head.w.T)
-            out.update({f"enc.{k}": g for k, g in enc_grads.items()})
-            return out
+        def backprop(grads):
+            _head_backward(cls, dlogits, grads)
+            backward(model, cache, dlogits @ head.w.T, grads)
 
-        return loss, grads
+        return loss, backprop
 
-    trace = _fit(params, len(corpus), step, config, rng)
+    trace = _fit(params, views, len(corpus), step, config, rng)
     return TrainResult(model=model, head=head, loss_trace=trace)
 
 

@@ -526,11 +526,10 @@ class TestExitCodes:
         assert all(i % 7 == 0 for i in skipped_rows)
         assert not (tmp_path / "o" / "augmented.tsv").exists()
 
-    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, capsys, monkeypatch):
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "in.tsv").write_text("1\thi\tNOT\n2\tbye\tOFF\n", encoding="utf-8")
         argv = ("stats", "--input", tmp_path / "in.tsv", "--out-dir", tmp_path / "o")
         assert run(*argv) == EXIT_OK
-        manifest = (tmp_path / "o" / "manifest.json").read_bytes()
         # stats.json fits in the room; the manifest does not.
         tear_writes(monkeypatch, 100)
         assert run(*argv) == EXIT_RUNTIME
@@ -538,8 +537,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: No space left on device: {tmp_path / 'o' / 'manifest.json'}\n"
         )
-        assert (tmp_path / "o" / "manifest.json").read_bytes() == manifest
-        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json", "stats.json"]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["stats.json"]
 
     def test_checkpoint_without_head_is_runtime_failure(self, workspace, capsys):
         corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
@@ -1142,6 +1140,19 @@ def test_manifest_lists_every_file_of_its_run_directory(run_inputs, tmp_path, ca
     files = {p.name: sha256(p) for p in out.iterdir() if p.name != "manifest.json"}
     assert manifest["artifacts"] == files and files
     assert manifest["inputs"] == {str(d / name): sha256(d / name) for name in inputs}
+
+
+def test_a_run_that_fails_part_way_leaves_no_manifest(run_inputs, tmp_path):
+    argv, _, _ = RUN_DIRS["gridsearch"]
+    d, out = run_inputs, tmp_path / "o"
+    argv = [str(d / a) if (d / a).is_file() else a for a in argv]
+    argv += ["--config", d / "run.yaml", "--out-dir", out]
+    assert run_quietly(*argv)[0] == EXIT_OK
+    (out / "best_config.json").unlink()
+    (out / "best_config.json").mkdir()
+    code, err = run_quietly(*argv)
+    assert code == EXIT_RUNTIME and err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in out.iterdir()) == ["best_config.json", "grid_cells.tsv"]
 
 
 class TestReportTable:

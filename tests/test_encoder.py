@@ -470,6 +470,49 @@ def test_inference_equals_training_at_dropout_zero(batch, length, num_layers, se
     assert cls.tobytes() == train_cls.tobytes()
 
 
+def _two_copy_unheads(heads, slots):
+    """The reference gather: a transpose-reshape copy, then the slots' rows."""
+    batch, num_heads, length, dk = heads.shape
+    return heads.transpose(0, 2, 1, 3).reshape(batch * length, num_heads * dk)[slots]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_unheads_equals_the_two_copy_gather(shape, seed, data):
+    heads = np.random.default_rng(seed).standard_normal(shape)
+    slots = np.array(sorted(data.draw(st.sets(st.integers(0, shape[0] * shape[2] - 1)))), dtype=np.int64)
+    got = encoder_mod._unheads(heads, slots)
+    want = _two_copy_unheads(heads, slots)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_unheads_equals_the_two_copy_gather_in_every_caller(monkeypatch):
+    config = EncoderConfig(hidden_size=16, num_layers=2, num_heads=2, max_len=12, dropout=0.1)
+    model = EncoderModel.initialize(config, 30)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(0, 30, size=(4, 12))
+    mask = (np.arange(12) < rng.integers(2, 13, size=(4, 1))).astype(float)
+    one_gather, calls = encoder_mod._unheads, []
+
+    def checked(heads, slots):
+        got, want = one_gather(heads, slots), _two_copy_unheads(heads, slots)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        calls.append(len(slots))
+        return got
+
+    monkeypatch.setattr(encoder_mod, "_unheads", checked)
+    _, cache = forward(model, ids, mask, train=True, dropout_rng=np.random.default_rng(7))
+    backward(model, cache, rng.standard_normal((4, 16)))
+    forward(model, ids, mask)
+    # Per layer: the context in each forward, and d q, d k and d v in backward.
+    real, cls_rows = int(mask.sum()), 4
+    assert calls == [real, cls_rows, cls_rows, real, real, real, real, real, real, cls_rows]
+
+
 def _two_erf_gelu(x):
     return 0.5 * x * (1.0 + encoder_mod.erf(x / np.sqrt(2.0)))
 

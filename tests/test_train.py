@@ -1,9 +1,13 @@
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     GRADCHECK_CONFIG,
@@ -21,6 +25,9 @@ from offlang.encoder import EncoderModel, build_vocab, save_checkpoint
 from offlang.errors import DivergenceError, EmptyCorpus
 from offlang.evaluation import predict_labels
 from offlang.train import (
+    BETA1,
+    BETA2,
+    EPS,
     FEATURE_BATCH,
     AdamState,
     TrainConfig,
@@ -92,39 +99,106 @@ class TestCrossEntropy:
 
 class TestAdamStep:
     def test_hand_evaluated_first_step(self):
-        params = {"p": np.array([0.0])}
-        grads = {"p": np.array([1.0])}
-        state = AdamState.init_like(params)
+        params = np.array([0.0])
+        grads = np.array([1.0])
+        state = AdamState(np.zeros_like(params), np.zeros_like(params))
         adam_step(params, grads, state, lr=2e-5)
         assert state.t == 1
-        assert state.m["p"][0] == pytest.approx(0.1, rel=1e-12)
-        assert state.v["p"][0] == pytest.approx(0.001, rel=1e-12)
+        assert state.m[0] == pytest.approx(0.1, rel=1e-12)
+        assert state.v[0] == pytest.approx(0.001, rel=1e-12)
         # bias-corrected step == lr * 1 / (1 + eps)
-        assert params["p"][0] == pytest.approx(-2e-5, rel=1e-6)
+        assert params[0] == pytest.approx(-2e-5, rel=1e-6)
 
     def test_zero_gradient_on_fresh_state(self):
-        params = {"p": np.array([1.5])}
-        state = AdamState.init_like(params)
-        adam_step(params, {"p": np.array([0.0])}, state, lr=1e-2)
-        assert params["p"][0] == 1.5
+        params = np.array([1.5])
+        state = AdamState(np.zeros_like(params), np.zeros_like(params))
+        adam_step(params, np.array([0.0]), state, lr=1e-2)
+        assert params[0] == 1.5
 
     def test_momentum_decays_after_nonzero_step(self):
-        params = {"p": np.array([0.0])}
-        state = AdamState.init_like(params)
-        adam_step(params, {"p": np.array([1.0])}, state, lr=2e-5)
-        p_after_1 = params["p"][0]
-        m_after_1 = state.m["p"][0]
-        adam_step(params, {"p": np.array([0.0])}, state, lr=2e-5)
-        assert state.m["p"][0] == pytest.approx(0.9 * m_after_1, rel=1e-12)
-        assert params["p"][0] < p_after_1  # still moving on momentum
-        adam_step(params, {"p": np.array([0.0])}, state, lr=2e-5)
-        assert state.m["p"][0] == pytest.approx(0.81 * m_after_1, rel=1e-12)
+        params = np.array([0.0])
+        state = AdamState(np.zeros_like(params), np.zeros_like(params))
+        adam_step(params, np.array([1.0]), state, lr=2e-5)
+        p_after_1 = params[0]
+        m_after_1 = state.m[0]
+        adam_step(params, np.array([0.0]), state, lr=2e-5)
+        assert state.m[0] == pytest.approx(0.9 * m_after_1, rel=1e-12)
+        assert params[0] < p_after_1  # still moving on momentum
+        adam_step(params, np.array([0.0]), state, lr=2e-5)
+        assert state.m[0] == pytest.approx(0.81 * m_after_1, rel=1e-12)
 
     def test_shape_mismatch(self):
-        params = {"p": np.zeros(3)}
-        state = AdamState.init_like(params)
+        params = np.zeros(3)
+        state = AdamState(np.zeros_like(params), np.zeros_like(params))
         with pytest.raises(ValueError):
-            adam_step(params, {"p": np.zeros(4)}, state, lr=1e-3)
+            adam_step(params, np.zeros(4), state, lr=1e-3)
+        with pytest.raises(ValueError):
+            adam_step(params.reshape(3, 1), np.zeros((3, 1)), state, lr=1e-3)
+
+
+def per_tensor_adam_step(params, grads, state, lr):
+    """The reference: Adam over a dict of named tensors, one tensor at a time."""
+    state.t += 1
+    for name, grad in grads.items():
+        m = state.m[name]
+        v = state.v[name]
+        m *= BETA1
+        m += (1 - BETA1) * grad
+        v *= BETA2
+        v += (1 - BETA2) * grad * grad
+        m_hat = m / (1 - BETA1**state.t)
+        v_hat = v / (1 - BETA2**state.t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+ADAM_VALUES = st.floats(-1e3, 1e3) | st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, -1e-310]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=st.lists(st.lists(st.integers(1, 5), max_size=3).map(tuple), min_size=1, max_size=4),
+    steps=st.integers(1, 4),
+    block=st.sampled_from([1, 2, 7, train_mod.BLOCK]),
+    lr=st.sampled_from([2e-5, 1e-2, 0.5]),
+    data=st.data(),
+)
+def test_flat_adam_matches_the_per_tensor_form_bit_for_bit(shapes, steps, block, lr, data):
+    def draw(shape):
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(ADAM_VALUES, min_size=size, max_size=size))).reshape(shape)
+
+    def flat(tensors):
+        return np.concatenate([t.ravel() for t in tensors.values()])
+
+    names = [f"t{i}" for i in range(len(shapes))]
+    ref_params = {name: draw(shape) for name, shape in zip(names, shapes)}
+    ref_state = SimpleNamespace(
+        m={n: np.zeros_like(p) for n, p in ref_params.items()},
+        v={n: np.zeros_like(p) for n, p in ref_params.items()},
+        t=0,
+    )
+    params = flat(ref_params)
+    state = AdamState(np.zeros_like(params), np.zeros_like(params))
+    with mock.patch.object(train_mod, "BLOCK", block), np.errstate(over="ignore"):
+        for _ in range(steps):
+            grads = {name: draw(shape) for name, shape in zip(names, shapes)}
+            per_tensor_adam_step(ref_params, grads, ref_state, lr)
+            adam_step(params, flat(grads), state, lr)
+    assert state.t == ref_state.t == steps
+    for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
+        assert got.tobytes() == flat(want).tobytes()
+
+
+def one_buffer(arrays):
+    """Whether the arrays are views that together tile one buffer."""
+    base = arrays[0].base
+    return (
+        base is not None
+        and all(a.base is base and np.shares_memory(a, base) for a in arrays)
+        and sum(a.size for a in arrays) == base.size
+    )
 
 
 class TestTrainConfig:
@@ -207,6 +281,16 @@ class TestTrainSingle:
         train_single(corpus, model, vocab, config)
         assert param_bytes(model) == before
 
+    def test_params_and_head_are_views_of_one_buffer(self):
+        corpus, vocab, model, config = trained_toy(seed=3, epochs=1)
+        before = param_bytes(model)
+        result = train_single(corpus, model, vocab, config)
+        arrays = [result.head.w, result.head.b, *result.model.params.values()]
+        assert one_buffer(arrays)
+        assert not any(np.shares_memory(arrays[0].base, p) for p in model.params.values())
+        assert result.model.params.keys() == model.params.keys()
+        assert param_bytes(model) == before
+
     def test_divergence_guard(self):
         corpus, vocab, model, config = trained_toy(seed=4)
         config.learning_rate = 1e4
@@ -276,6 +360,14 @@ class TestTrainDual:
                 preds = head.predict(vectors)
                 accuracies.append(sum(p == g for p, g in zip(preds, corpus.labels())) / len(corpus))
         assert abs(median(singles) - median(duals)) <= 0.02
+
+    def test_train_head_w_and_b_are_views_of_one_buffer(self):
+        rng = np.random.default_rng(0)
+        vectors, y = rng.normal(size=(20, 6)), rng.integers(0, 2, size=20)
+        before = vectors.tobytes()
+        head, _ = train_head(vectors, y, toy_train_config(seed=0, epochs=1))
+        assert one_buffer([head.w, head.b])
+        assert vectors.tobytes() == before
 
 
 class TestPerBatchEncoding:
