@@ -230,8 +230,8 @@ class TranslationCache:
     The journal is opened once, on the first `put`, and every entry is flushed
     to the OS before `put` returns; `close()` (or leaving a `with` block)
     releases it. A last line without its line end (`\n` or `\r`), left by an
-    interrupted write, is dropped on load and cut from the file before the
-    next append.
+    interrupted write, is dropped on load and cut from the file when the
+    journal is next opened for appending.
     """
 
     def __init__(self, path: str | Path):
@@ -239,7 +239,6 @@ class TranslationCache:
         self._entries: dict[tuple[str, str, str], str] = {}
         self._lock = threading.Lock()
         self._journal: TextIO | None = None
-        self._complete_bytes: int | None = None  # set when the last line is torn
         if self.path.exists():
             self._load()
 
@@ -247,7 +246,6 @@ class TranslationCache:
         # Streamed up to the end of the last complete line, so a torn last
         # line is never decoded; only the entries stay in memory.
         end, size = _complete_lines(self.path)
-        self._complete_bytes = end if end < size else None
         self._entries = _parse_translations(self.path, end)
         if end < size:
             logger.warning("%s: dropping a torn last line (%d bytes)", self.path, size - end)
@@ -295,22 +293,22 @@ class TranslationCache:
     def _give_up_journal(self) -> None:
         """Close the journal after a failed write, so that close() does not
         raise the failure again for the line still in its buffer. A torn
-        line that the failure left is cut before the next append. (Should
-        the close write the line after all, a retried put writes it again,
-        and the later of two equal lines wins on load.)"""
+        line that the failure left is cut when the journal is next opened.
+        (Should the close write the line after all, a retried put writes it
+        again, and the later of two equal lines wins on load.)"""
         journal, self._journal = self._journal, None
         with contextlib.suppress(OSError):
             if journal is not None:
                 journal.close()  # one more try at the buffered line
-        with contextlib.suppress(OSError):
-            end, size = _complete_lines(self.path)
-            self._complete_bytes = end if end < size else None
 
     def _open_journal(self) -> TextIO:
+        """The journal opened for appending, cut first to the end of the last
+        complete line that it holds now (another cache may have appended)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._complete_bytes is not None:
-            os.truncate(self.path, self._complete_bytes)
-            self._complete_bytes = None
+        if self.path.exists():
+            end, size = _complete_lines(self.path)
+            if end < size:
+                os.truncate(self.path, end)
         return open(self.path, "a", encoding="utf-8")
 
 
@@ -448,6 +446,6 @@ def augment_corpus(
     policy: Policy = Policy.SKIP_ON_ERROR,
     cache: TranslationCache | None = None,
 ) -> Corpus:
-    """The rows of augment_rows as a Corpus of the same language and split."""
+    """The rows of augment_rows as a Corpus of the same language."""
     rows = augment_rows(corpus, pivots, provider, policy=policy, cache=cache)
-    return Corpus(corpus.language, corpus.split, list(rows))
+    return Corpus(corpus.language, list(rows))

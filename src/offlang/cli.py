@@ -179,10 +179,6 @@ def _normalized(examples, run: RunConfig):
     return (LabeledExample(ex.id, normalize(ex.text, norm_config), ex.label) for ex in examples)
 
 
-def _normalized_corpus(corpus: Corpus, run: RunConfig) -> Corpus:
-    return Corpus(corpus.language, corpus.split, list(_normalized(corpus, run)))
-
-
 # --- the config schema ----------------------------------------------------------
 
 
@@ -229,6 +225,10 @@ class GridConfig:
     def __post_init__(self):
         object.__setattr__(self, "learning_rates", _list_of(float)(self.learning_rates))
         object.__setattr__(self, "batch_sizes", _list_of(int)(self.batch_sizes))
+        for lr in self.learning_rates or ():
+            TrainConfig.check(learning_rate=lr)
+        for batch_size in self.batch_sizes or ():
+            TrainConfig.check(batch_size=batch_size)
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,8 @@ class RunConfig:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"config key seed must be >= 0, got {self.seed}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError(
                 f"config key holdout_fraction must be in (0, 1), got {self.holdout_fraction!r}"
@@ -490,17 +492,17 @@ def cmd_augment(args, run: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_corpus(path: Path, run: RunConfig, split: str = "train") -> Corpus:
-    """A labeled TSV as every training stage sees it: normalized when the
-    config says so (by default, for English only)."""
-    corpus = load_labeled_tsv(path, language=run.language, split=split)
-    return _normalized_corpus(corpus, run) if run.normalize else corpus
+def _load_corpus(path: Path, run: RunConfig, language: str, normalize: bool) -> Corpus:
+    """A labeled TSV as a model reads it: in `language`, and normalized if
+    `normalize` is set (the run's setting, or for evaluate its checkpoint's)."""
+    corpus = load_labeled_tsv(path, language=language)
+    return Corpus(language, list(_normalized(corpus, run))) if normalize else corpus
 
 
 def cmd_train(args, run: RunConfig) -> int:
     train_config = run.train()
     path = _require_input(run.train_file, "training file")
-    corpus = _load_corpus(path, run)
+    corpus = _load_corpus(path, run, run.language, run.normalize)
     vocab = build_vocab(corpus, run.encoder)
     model = EncoderModel.initialize(run.encoder, vocab.size)
     result = train_single(corpus, model, vocab, train_config)
@@ -523,10 +525,9 @@ def cmd_evaluate(args, run: RunConfig) -> int:
     ckpt_path = _require_input(args.checkpoint, "checkpoint")
     test_path = _require_input(run.test_file, "test file")
     ckpt = load_train_checkpoint(ckpt_path)
-    language = ckpt.meta.get("language", "en")
-    corpus = load_labeled_tsv(test_path, language=language, split="test")
-    if ckpt.meta.get("normalize"):
-        corpus = _normalized_corpus(corpus, run)
+    corpus = _load_corpus(
+        test_path, run, ckpt.meta.get("language", "en"), ckpt.meta.get("normalize")
+    )
     preds = predict_labels(ckpt.model, ckpt.head, ckpt.vocab, corpus.texts())
     report = evaluate(
         preds,
@@ -550,13 +551,13 @@ def cmd_gridsearch(args, run: RunConfig) -> int:
     if not lrs or not batches:
         raise ConfigError("grid search needs learning_rates and batch_sizes")
     path = _require_input(run.train_file, "training file")
-    corpus = _load_corpus(path, run)
+    corpus = _load_corpus(path, run, run.language, run.normalize)
     train_split, validation = split_holdout(corpus, run.holdout_fraction, run.seed)
     result = grid_search(lrs, batches, train_split, validation, base_config, run.encoder)
 
     cells = ["learning_rate\tbatch_size\tmacro_f1\taccuracy\tdiverged\n"]
     for cell in result.cells:
-        if cell.diverged:
+        if cell.report is None:
             cells.append(f"{cell.learning_rate:g}\t{cell.batch_size}\t\t\ttrue\n")
         else:
             cells.append(
@@ -592,7 +593,7 @@ def cmd_ablate(args, run: RunConfig) -> int:
         ]
     with _run_dir(args, run, run.seed, inputs) as artifact:
         if args.mode == "augmentation":
-            corpus = _load_corpus(inputs[0], run)
+            corpus = _load_corpus(inputs[0], run, run.language, run.normalize)
             pivots = _pivot_set(run.augment, run.language)
             provider = _make_provider(run.augment)
             reports = ablation_augmentation(
@@ -601,8 +602,7 @@ def cmd_ablate(args, run: RunConfig) -> int:
             )
             layout = "table4"
         else:
-            gold, weak = (_load_corpus(p, run) for p in inputs[:2])
-            test = _load_corpus(inputs[2], run, split="test")
+            gold, weak, test = (_load_corpus(p, run, run.language, run.normalize) for p in inputs)
             reports = ablation_english(gold, weak, test, train_config, run.encoder)
             layout = "table3"
         for i, report in enumerate(reports):

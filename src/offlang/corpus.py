@@ -70,10 +70,9 @@ class ScoredExample:
 
 @dataclass
 class Corpus:
-    """Ordered collection of labeled examples for one language/split."""
+    """Ordered collection of labeled examples in one language."""
 
     language: str
-    split: str
     examples: list[LabeledExample] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -221,9 +220,9 @@ def read_labeled(path: str | Path) -> Iterator[LabeledExample]:
         yield LabeledExample(fields[0], fields[1], parse_label(fields[2], line_no, path))
 
 
-def load_labeled_tsv(path: str | Path, language: str = "en", split: str = "train") -> Corpus:
+def load_labeled_tsv(path: str | Path, language: str = "en") -> Corpus:
     """Load `id<TAB>text<TAB>label` rows into a Corpus, preserving order."""
-    return Corpus(language=language, split=split, examples=list(read_labeled(path)))
+    return Corpus(language=language, examples=list(read_labeled(path)))
 
 
 def save_labeled_tsv(examples: Iterable[LabeledExample], path: str | Path) -> int:
@@ -313,6 +312,6 @@ def split_holdout(
     train_examples = [ex for i, ex in enumerate(corpus.examples) if i not in validation_idx]
     val_examples = [ex for i, ex in enumerate(corpus.examples) if i in validation_idx]
     return (
-        Corpus(corpus.language, "train", train_examples),
-        Corpus(corpus.language, "validation", val_examples),
+        Corpus(corpus.language, train_examples),
+        Corpus(corpus.language, val_examples),
     )

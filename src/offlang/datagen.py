@@ -78,7 +78,7 @@ def separable_toy_corpus(n: int = 200, seed: int = 0) -> Corpus:
         words = rng.choices(pool, k=rng.randint(4, 8))
         examples.append(LabeledExample(f"toy{i}", " ".join(words), label))
     rng.shuffle(examples)
-    return Corpus(language="en", split="train", examples=examples)
+    return Corpus(language="en", examples=examples)
 
 
 def flip_labels(corpus: Corpus, fraction: float = 0.2, seed: int = 0) -> Corpus:
@@ -93,7 +93,7 @@ def flip_labels(corpus: Corpus, fraction: float = 0.2, seed: int = 0) -> Corpus:
         if i in flip_idx:
             label = Label.NOT if label is Label.OFF else Label.OFF
         flipped.append(LabeledExample(ex.id, ex.text, label))
-    return Corpus(corpus.language, corpus.split, flipped)
+    return Corpus(corpus.language, flipped)
 
 
 # --- cue task: shared base of both ablation protocols -------------------------
@@ -142,7 +142,7 @@ def cue_train_config(seed: int = 0, epochs: int = TOY_EPOCHS) -> TrainConfig:
     )
 
 
-def cue_corpus(n: int, seed: int, language: str = "en", split: str = "train") -> Corpus:
+def cue_corpus(n: int, seed: int, language: str = "en") -> Corpus:
     rng = random.Random(seed)
     examples = []
     for i in range(n):
@@ -151,7 +151,7 @@ def cue_corpus(n: int, seed: int, language: str = "en", split: str = "train") ->
         words.insert(rng.randrange(len(words) + 1), rng.choice(_CUE_WORDS[label]))
         examples.append(LabeledExample(f"cue{i}", " ".join(words), label))
     rng.shuffle(examples)
-    return Corpus(language=language, split=split, examples=examples)
+    return Corpus(language=language, examples=examples)
 
 
 def disambiguation_task(
@@ -225,7 +225,8 @@ MINI_OFF_FRACTION = 0.3
 def mini_corpus(language: str, n: int = 200, seed: int = 0, split: str = "train") -> Corpus:
     """Synthetic per-language mini-corpus (~200 sentences): NOT sentences are
     filler-only, OFF sentences mix one or two pejorative cue words into the
-    filler, with roughly a 30/70 class split."""
+    filler, with roughly a 30/70 class split. `split` names the draw: it
+    seeds the rows and prefixes their ids."""
     if language not in _MINI_WORDS:
         raise ValueError(f"no mini-corpus vocabulary for language {language!r}")
     words = _MINI_WORDS[language]
@@ -242,4 +243,4 @@ def mini_corpus(language: str, n: int = 200, seed: int = 0, split: str = "train"
                 toks.insert(rng.randrange(len(toks) + 1), rng.choice(words["off"]))
         examples.append(LabeledExample(f"{language}-{split}-{i}", " ".join(toks), label))
     rng.shuffle(examples)
-    return Corpus(language=language, split=split, examples=examples)
+    return Corpus(language=language, examples=examples)

@@ -41,10 +41,6 @@ class ConfusionMatrix:
 
     counts: tuple[tuple[int, int], ...]  # row = predicted class, col = gold class
 
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
     def get(self, predicted: Label, gold: Label) -> int:
         return self.counts[CLASSES.index(predicted)][CLASSES.index(gold)]
 
@@ -162,8 +158,7 @@ def predict_labels(
 class GridCell:
     learning_rate: float
     batch_size: int
-    report: EvalReport | None
-    diverged: bool = False
+    report: EvalReport | None  # None: the cell diverged
 
 
 @dataclass
@@ -195,7 +190,7 @@ def grid_search(
             try:
                 report = _train_and_eval(train_corpus, validation, config, encoder_config, system)
             except DivergenceError:
-                cells.append(GridCell(lr, bs, None, diverged=True))
+                cells.append(GridCell(lr, bs, None))
                 continue
             cell = GridCell(lr, bs, report)
             cells.append(cell)
@@ -259,9 +254,7 @@ def ablation_english(
     """
     if len(test) == 0:
         raise EmptyCorpus("cannot evaluate on an empty test corpus")
-    combined = Corpus(
-        gold_corpus.language, "train", list(gold_corpus.examples) + list(weak_corpus.examples)
-    )
+    combined = Corpus(gold_corpus.language, list(gold_corpus.examples) + list(weak_corpus.examples))
     vocab = build_vocab(combined, encoder_config)
 
     model_a = EncoderModel.initialize(encoder_config, vocab.size)

@@ -90,8 +90,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if learning_rate is not None and learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if learning_rate is not None and not 0 < learning_rate < np.inf:  # nan fails too
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
 
 
 @dataclass
@@ -103,10 +103,6 @@ class ClassifierHead:
     def initialize(cls, input_dim: int, seed: int) -> "ClassifierHead":
         rng = np.random.default_rng(seed)
         return cls(w=_truncated_normal(rng, (input_dim, 2), 0.02), b=np.zeros(2))
-
-    @property
-    def input_dim(self) -> int:
-        return self.w.shape[0]
 
     def predict(self, x: np.ndarray) -> list[Label]:
         """The argmax label of each row of sentence vectors x (n, input_dim)."""
@@ -190,23 +186,29 @@ def _fit(
     `views` of the flat `params`, of one gradient buffer. The loss is checked
     for divergence before any backward pass, the buffer is zeroed in place,
     then Adam updates `params` in place. The callable, and the activations it
-    holds, is released before the next batch's step."""
+    holds, is released before the next batch's step. An overflow or invalid
+    operation anywhere in a step is a DivergenceError of its batch, so no fit
+    returns parameters that a non-finite value reached."""
     grads, grad_views = _packed(views)
     adam = AdamState(np.zeros_like(params), np.zeros_like(params))
     trace: list[float] = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for b_start in range(0, n, config.batch_size):
-            sel = perm[b_start : b_start + config.batch_size]
-            loss, backprop = step(sel)
-            _check_divergence(loss, epoch, b_start // config.batch_size)
-            epoch_loss += loss * len(sel)
-            grads.fill(0.0)
-            backprop(grad_views)
-            adam_step(params, grads, adam, config.learning_rate)
-            del backprop
-        trace.append(epoch_loss / n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                perm = rng.permutation(n)
+                epoch_loss = 0.0
+                for batch, b_start in enumerate(range(0, n, config.batch_size)):
+                    sel = perm[b_start : b_start + config.batch_size]
+                    loss, backprop = step(sel)
+                    _check_divergence(loss, epoch, batch)
+                    epoch_loss += loss * len(sel)
+                    grads.fill(0.0)
+                    backprop(grad_views)
+                    adam_step(params, grads, adam, config.learning_rate)
+                    del backprop
+                trace.append(epoch_loss / n)
+    except FloatingPointError as exc:
+        raise DivergenceError(f"training diverged at epoch {epoch} batch {batch}: {exc}") from exc
     return trace
 
 

@@ -93,7 +93,7 @@ def build_weak_corpus(scored: Sequence[ScoredExample], config: WeakLabelConfig) 
     """
     chosen = _choose(((i, weak_label(ex, config)) for i, ex in enumerate(scored)), config)
     examples = [LabeledExample(scored[i].id, scored[i].text, label) for i, label in chosen]
-    return Corpus(language="en", split="train", examples=examples)
+    return Corpus(language="en", examples=examples)
 
 
 def weak_label_file(path: str | Path, config: WeakLabelConfig) -> Corpus:
@@ -120,7 +120,7 @@ def weak_label_file(path: str | Path, config: WeakLabelConfig) -> Corpus:
         raise InputChanged(path) from None
     if slot or _stamp(path) != stamp:
         raise InputChanged(path)
-    return Corpus(language="en", split="train", examples=examples)
+    return Corpus(language="en", examples=examples)
 
 
 def _stamp(path) -> tuple[int, int, int]:

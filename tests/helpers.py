@@ -192,7 +192,7 @@ def in_memory_weak_corpus(scored, config) -> Corpus:
         for ex in rng.sample(pools[label], k):
             chosen.append(LabeledExample(ex.id, ex.text, label))
     rng.shuffle(chosen)
-    return Corpus(language="en", split="train", examples=chosen)
+    return Corpus(language="en", examples=chosen)
 
 
 def in_memory_augment_corpus(corpus, pivots, provider, *, policy, cache) -> Corpus:
@@ -206,7 +206,7 @@ def in_memory_augment_corpus(corpus, pivots, provider, *, policy, cache) -> Corp
         examples += augment_example(
             original, pivots, provider, corpus.language, cache=cache, policy=policy
         )
-    return Corpus(corpus.language, corpus.split, examples)
+    return Corpus(corpus.language, examples)
 
 
 def _out_dir(args) -> Path:
@@ -221,7 +221,7 @@ def _in_memory_normalize(args, run) -> int:
     corpus = load_labeled_tsv(path, language=run.language)
     norm_config = run.normalize_maps.load()
     examples = [LabeledExample(ex.id, normalize(ex.text, norm_config), ex.label) for ex in corpus]
-    normalized = Corpus(corpus.language, corpus.split, examples)
+    normalized = Corpus(corpus.language, examples)
     corpus_mod.save_labeled_tsv(normalized, out / "normalized.tsv")
     return cli.EXIT_OK
 

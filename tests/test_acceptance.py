@@ -133,7 +133,7 @@ def test_criterion_03_augmentation_cardinality_and_labels():
                 LabeledExample(f"t{trial}n{i}", f"iyi {trial} {i}", NOT) for i in range(n_not)
             ]
             rng.shuffle(examples)
-            corpus = Corpus("tr", "train", examples)
+            corpus = Corpus("tr", examples)
             out = augment_corpus(corpus, pivots, provider)
             assert len(out) == 4 * len(corpus)
             stats = corpus_stats(out)
@@ -202,7 +202,7 @@ def test_criterion_07_english_ablation_direction():
         for seed in range(5):
             gold = cue_corpus(200, seed=seed)
             weak = flip_labels(gold, fraction=0.2, seed=seed + 1000)
-            test = cue_corpus(80, seed=seed + 2000, split="test")
+            test = cue_corpus(80, seed=seed + 2000)
             reports = ablation_english(
                 gold, weak, test, cue_train_config(seed=seed), cue_encoder_config(seed=seed)
             )

@@ -180,6 +180,18 @@ class TestTornJournal:
         assert reloaded.get("bye", "en", "fr") == "au revoir"
         assert len(reloaded) == 2
 
+    def test_two_caches_on_one_torn_journal_keep_both_puts(self, tmp_path):
+        # The second cache's journal opens after the first has appended: it
+        # must cut only what is torn when it opens, not what was torn at load.
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"a\ten\tfr\tA\ntorn\ten")
+        with TranslationCache(path) as first, TranslationCache(path) as second:
+            first.put("c", "en", "fr", "C")
+            second.put("d", "en", "fr", "D")
+        assert path.read_bytes() == b"a\ten\tfr\tA\nc\ten\tfr\tC\nd\ten\tfr\tD\n"
+        reloaded = TranslationCache(path)
+        assert [reloaded.get(text, "en", "fr") for text in "acd"] == ["A", "C", "D"]
+
     def test_torn_line_with_few_fields_loads(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_bytes("good\ten\tde\tgut\nhel".encode("utf-8") + "ü".encode("utf-8")[:1])
@@ -228,7 +240,7 @@ class TestTornJournal:
         path = tmp_path / "cache.tsv"
         journal = b"hi\ten\tfr\tH-FR\rhi\ten\tde\tH-DE\r"
         path.write_bytes(journal)
-        corpus = Corpus("en", "train", [LabeledExample("1", "hi", Label.NOT)])
+        corpus = Corpus("en", [LabeledExample("1", "hi", Label.NOT)])
         provider = MockTaggingProvider()
         with caplog.at_level(logging.WARNING, logger="offlang.augment"):
             with TranslationCache(path) as cache:
@@ -476,7 +488,7 @@ class TestAugmentExample:
 def make_corpus(n_off, n_not, language="tr"):
     examples = [example(i, Label.OFF, f"kötü metin {i}") for i in range(n_off)]
     examples += [example(n_off + i, Label.NOT, f"iyi metin {i}") for i in range(n_not)]
-    return Corpus(language, "train", examples)
+    return Corpus(language, examples)
 
 
 class TestAugmentCorpus:
@@ -493,7 +505,7 @@ class TestAugmentCorpus:
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            augment_corpus(Corpus("tr", "train", []), PivotSet(), MockTaggingProvider())
+            augment_corpus(Corpus("tr", []), PivotSet(), MockTaggingProvider())
 
     def test_originals_unmodified_and_prefix(self):
         corpus = make_corpus(3, 3)

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -283,12 +284,18 @@ class TestExitCodes:
             ("stats", "train: {epochs: 0}\n", "invalid train settings: epochs must be >= 1, got 0"),
             ("augment", "train: {learning_rate: 0}\n",
              "invalid train settings: learning_rate must be positive"),
+            ("train", "train: {learning_rate: .inf}\n",
+             "invalid train settings: learning_rate must be positive and finite, got inf"),
+            ("gridsearch", "grid: {learning_rates: [.nan], batch_sizes: [8]}\n",
+             "invalid grid settings: learning_rate must be positive and finite, got nan"),
+            ("weaklabel", "seed: -1\n", "config key seed must be >= 0, got -1"),
         ],
         ids=[
             "scalar_normalize_maps", "scalar_grid", "int_train_file", "string_rate",
             "holdout_above_one", "misspelt_section", "int_language", "string_normalize",
             "unknown_key_in_stats", "unknown_key_in_evaluate", "bad_section_in_normalize",
-            "zero_epochs_in_stats", "zero_rate_in_augment",
+            "zero_epochs_in_stats", "zero_rate_in_augment", "infinite_rate_in_train",
+            "nan_candidate_in_gridsearch", "negative_seed_in_weaklabel",
         ],
     )
     def test_every_command_checks_the_whole_file(self, workspace, capsys, command, text, message):
@@ -333,6 +340,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
         assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "config key seed must be >= 0, got -1"),
+            (["--learning-rate", "inf"],
+             "invalid train settings: learning_rate must be positive and finite, got inf"),
+            (["--learning-rate", "nan"],
+             "invalid train settings: learning_rate must be positive and finite, got nan"),
+        ],
+        ids=["negative_seed", "infinite_rate", "nan_rate"],
+    )
+    def test_out_of_range_train_flag_is_a_config_error(self, workspace, capsys, flags, message):
+        argv = ("train", "--config", workspace / "run.yaml", "--input", workspace / "train.tsv")
+        assert run(*argv, *flags, "--out-dir", workspace / "o") == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (workspace / "o").exists()
+
+    def test_an_overflowing_fit_ends_in_one_line(self, workspace):
+        # Run in a child, whose stderr holds any numpy warning as it would print.
+        argv = [
+            "train", "--config", workspace / "run.yaml", "--input", workspace / "train.tsv",
+            "--learning-rate", "1e300", "--out-dir", workspace / "o",
+        ]
+        src = str(Path(offlang.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "offlang.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_RUNTIME
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: training diverged at epoch 0 batch 1: overflow encountered")
 
     def test_train_section_needs_no_language_defaults_outside_training(self, tmp_path, capsys):
         (tmp_path / "in.tsv").write_text("1\thi\tNOT\n", encoding="utf-8")
@@ -1001,6 +1041,36 @@ class TestGridsearchCommand:
         assert cells[2].endswith("true")  # the absurd rate diverged
         capsys.readouterr()
 
+    def test_an_overflowing_cell_is_written_as_diverged(self, workspace, capsys):
+        out_dir = workspace / "grid"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                "gridsearch", "--config", workspace / "run.yaml", "--input", workspace / "train.tsv",
+                "--learning-rates", "0.008,1e300", "--batch-sizes", "8", "--out-dir", out_dir,
+            )
+        assert (code, caught, capsys.readouterr().err) == (EXIT_OK, [], "")
+        cells = (out_dir / "grid_cells.tsv").read_text(encoding="utf-8").splitlines()
+        assert cells[2] == "1e+300\t8\t\t\ttrue"
+
+    @pytest.mark.parametrize(
+        "lrs, batches, message",
+        [("0.008", "8,0", "batch_size must be positive"),
+         ("0.008,-1", "8", "learning_rate must be positive and finite, got -1.0")],
+        ids=["zero_batch_size", "negative_rate"],
+    )
+    def test_a_bad_candidate_fails_before_any_cell_trains(
+        self, workspace, capsys, monkeypatch, lrs, batches, message
+    ):
+        monkeypatch.setattr(cli_mod, "grid_search", None)  # calling it would fail the test
+        code = run(
+            "gridsearch", "--config", workspace / "run.yaml", "--input", workspace / "train.tsv",
+            "--learning-rates", lrs, "--batch-sizes", batches, "--out-dir", workspace / "grid",
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: invalid grid settings: {message}\n"
+        assert not (workspace / "grid" / "grid_cells.tsv").exists()
+
 
 class TestAblateCommand:
     def test_augmentation_mode(self, workspace, capsys):
@@ -1057,7 +1127,7 @@ class TestAblateCommand:
             pre = [LabeledExample(ex.id, normalize(ex.text, norm_config), ex.label) for ex in raw]
             for kind, examples in (("raw", raw), ("pre", pre)):
                 (workspace / kind).mkdir(exist_ok=True)
-                save_labeled_tsv(Corpus("en", split, examples), workspace / kind / f"{name}.tsv")
+                save_labeled_tsv(Corpus("en", examples), workspace / kind / f"{name}.tsv")
         for kind in ("raw", "pre"):
             code = run(
                 "ablate", "--mode", "english", "--config", workspace / "run.yaml",

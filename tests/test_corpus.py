@@ -95,7 +95,7 @@ class TestSaveLabeled:
     @pytest.mark.parametrize("field", ["id", "text"])
     def test_unrepresentable_field_is_refused(self, tmp_path, field, char):
         bad_id, text = (f"b{char}2", "two words") if field == "id" else ("b", f"two{char}words")
-        corpus = Corpus("en", "train", [
+        corpus = Corpus("en", [
             LabeledExample("a", "fine", Label.OFF), LabeledExample(bad_id, text, Label.NOT),
         ])
         path = tmp_path / "out.tsv"
@@ -184,7 +184,7 @@ def make_corpus(n_off, n_not, seed=0):
     examples = [LabeledExample(f"o{i}", f"off text {i}", Label.OFF) for i in range(n_off)]
     examples += [LabeledExample(f"n{i}", f"not text {i}", Label.NOT) for i in range(n_not)]
     random.Random(seed).shuffle(examples)
-    return Corpus("en", "train", examples)
+    return Corpus("en", examples)
 
 
 class TestSplitHoldout:
@@ -236,7 +236,7 @@ class TestSplitHoldout:
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            split_holdout(Corpus("en", "train", []), 0.2, seed=0)
+            split_holdout(Corpus("en", []), 0.2, seed=0)
 
 
 class TestStats:
@@ -246,7 +246,7 @@ class TestStats:
         assert stats.total == 6994
 
     def test_empty(self):
-        stats = corpus_stats(Corpus("en", "train", []))
+        stats = corpus_stats(Corpus("en", []))
         assert (stats.off_count, stats.not_count, stats.total) == (0, 0, 0)
 
     def test_majority_tie_breaks_to_not(self):

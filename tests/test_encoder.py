@@ -33,9 +33,7 @@ from offlang.errors import EmptyCorpus
 
 
 def corpus_of(texts):
-    return Corpus(
-        "en", "train", [LabeledExample(str(i), t, Label.NOT) for i, t in enumerate(texts)]
-    )
+    return Corpus("en", [LabeledExample(str(i), t, Label.NOT) for i, t in enumerate(texts)])
 
 
 TINY = EncoderConfig(

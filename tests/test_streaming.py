@@ -174,7 +174,7 @@ class RecordingIOProvider:
 
 
 def test_io_provider_is_called_one_window_at_a_time_in_input_order():
-    corpus = Corpus("en", "train", [
+    corpus = Corpus("en", [
         LabeledExample(str(i), f"text {i}", Label.OFF if i % 3 else Label.NOT)
         for i in range(3 * IO_WINDOW + 5)
     ])
@@ -250,7 +250,7 @@ def test_peak_memory_grows_far_less_than_the_input(tmp_path, stage):
 
 
 def test_closing_the_rows_waits_for_the_requests_in_flight(tmp_path):
-    corpus = Corpus("en", "train", [LabeledExample(str(i), f"t {i}", Label.OFF) for i in range(20)])
+    corpus = Corpus("en", [LabeledExample(str(i), f"t {i}", Label.OFF) for i in range(20)])
     provider = RecordingIOProvider(delay=0.01)
     journal = tmp_path / "cache.tsv"
     with TranslationCache(journal) as cache:

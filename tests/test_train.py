@@ -265,7 +265,7 @@ class TestTrainSingle:
     def test_empty_corpus(self):
         _, vocab, model, config = trained_toy()
         with pytest.raises(EmptyCorpus):
-            train_single(Corpus("en", "train", []), model, vocab, config)
+            train_single(Corpus("en", []), model, vocab, config)
 
     def test_bitwise_determinism(self):
         corpus, vocab, model, config = trained_toy(seed=2)
@@ -274,6 +274,14 @@ class TestTrainSingle:
         assert param_bytes(a.model) == param_bytes(b.model)
         assert a.head.w.tobytes() == b.head.w.tobytes()
         assert a.loss_trace == b.loss_trace
+
+    def test_overflow_is_a_divergence_of_its_batch(self):
+        # Adam's first step at lr=1e300 makes the next forward pass overflow.
+        corpus, vocab, model, config = trained_toy(seed=0, epochs=1)
+        errors = np.geterr()
+        with pytest.raises(DivergenceError, match="at epoch 0 batch 1: overflow encountered in"):
+            train_single(corpus, model, vocab, replace(config, learning_rate=1e300))
+        assert np.geterr() == errors
 
     def test_input_model_not_mutated(self):
         corpus, vocab, model, config = trained_toy(seed=3)
@@ -330,7 +338,7 @@ class TestTrainDual:
     def test_head_dimension_is_2h(self):
         corpus, vocab, model_a, model_b, config = self.setup_models()
         head, _ = train_dual(corpus, model_a, model_b, vocab, config)
-        assert head.input_dim == 2 * model_a.config.hidden_size
+        assert head.w.shape[0] == 2 * model_a.config.hidden_size
 
     def test_encoders_frozen(self):
         corpus, vocab, model_a, model_b, config = self.setup_models(seed=1)
