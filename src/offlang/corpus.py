@@ -308,6 +308,10 @@ def split_holdout(
         class_idx = [i for i, ex in enumerate(corpus.examples) if ex.label is label]
         take = _round_half_up(holdout_fraction * len(class_idx))
         validation_idx.update(rng.sample(class_idx, take))
+    if not 0 < len(validation_idx) < len(corpus):
+        side = "train" if validation_idx else "validation"
+        raise EmptyCorpus(f"holdout_fraction {holdout_fraction} leaves the {side} split of "
+                          f"a {len(corpus)}-row corpus empty")
 
     train_examples = [ex for i, ex in enumerate(corpus.examples) if i not in validation_idx]
     val_examples = [ex for i, ex in enumerate(corpus.examples) if i in validation_idx]

@@ -115,6 +115,8 @@ class EncoderConfig:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
+        if self.ffn_size < 0:
+            raise ValueError(f"ffn_size must be >= 0, got {self.ffn_size}")
         if self.max_len < 2 or self.vocab_cap <= len(RESERVED_TOKENS):
             raise ValueError("max_len must be >= 2 and vocab_cap must exceed the reserved tokens")
         if not 0.0 <= self.dropout < 1.0:
@@ -141,20 +143,24 @@ def build_vocab(corpus: Corpus, config: EncoderConfig) -> Vocabulary:
     return Vocabulary.from_tokens(tokens)
 
 
-def encode_corpus(texts: list[str], vocab: Vocabulary, max_len: int):
-    """Stack tokenized sequences into (n, T) id and mask matrices, right-padded
-    to T = the longest row of `texts` ([CLS] and [SEP] included), so at most
-    max_len. Each row is [CLS] + tokens + [SEP]; truncation keeps the leading
-    tokens and always the final [SEP], and a token outside the vocabulary is
-    [UNK]. Attention costs O(T^2), so callers encode one batch at a time and
-    each batch pays only for its own longest row."""
+def encode_corpus(texts: list[str], vocab: Vocabulary, max_len: int) -> list[list[int]]:
+    """Each text's id row: [CLS] + its tokens + [SEP], at most max_len ids.
+    Truncation keeps the leading tokens and always the final [SEP], and a
+    token outside the vocabulary is [UNK]."""
     lookup = vocab.token_to_id.get
     rows = [[lookup(tok, UNK_ID) for tok in tokenize(t)[: max_len - 2]] for t in texts]
-    lengths = np.array([len(row) + 2 for row in rows], dtype=np.int64)
+    return [[CLS_ID, *row, SEP_ID] for row in rows]
+
+
+def pad_batch(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack id rows into (n, T) id and mask matrices, right-padded to T = the
+    longest row. Attention costs O(T^2), so callers pad one batch at a time
+    and each batch pays only for its own longest row."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
     mask = (np.arange(lengths.max(initial=0)) < lengths[:, None]).astype(np.float64)
     ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
     # Row-major order, so the flat list fills each row's real slots in turn.
-    ids[mask != 0] = [i for row in rows for i in (CLS_ID, *row, SEP_ID)]
+    ids[mask != 0] = [i for row in rows for i in row]
     return ids, mask
 
 
@@ -400,7 +406,7 @@ def forward(
     where the activation cache for backward() is recorded only when
     train=True and is None otherwise.
 
-    T may be anything up to max_len; batches from encode_corpus are padded
+    T may be anything up to max_len; batches from pad_batch are padded
     only to their longest row, and every row's position 0 ([CLS]) must be
     real. Position-wise work runs on packed rows: the N real tokens
     (mask != 0) are gathered once into an (N, h) matrix for the embedding

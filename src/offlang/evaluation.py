@@ -17,6 +17,7 @@ import numpy as np
 from . import augment as augment_mod
 from . import train as train_mod
 from .corpus import CLASSES, Corpus, CorpusStats, Label, split_holdout
+# perfbench/layers.py traces encode_corpus and forward on this module; nothing here calls them.
 from .encoder import (
     EncoderConfig,
     EncoderModel,
@@ -134,24 +135,10 @@ def predict_labels(
     vocab: Vocabulary,
     texts: list[str],
 ) -> list[Label]:
-    """Inference on original sentences only: encode, apply the head, argmax.
-
-    Texts are labelled train.FEATURE_BATCH rows at a time, each batch padded
-    to its longest row, so labels do not depend on the batch size and memory
-    follows the batch, not the corpus. An inference forward keeps no
-    activation cache and runs its score scaling, softmax and GELU in place,
-    so it holds about two and a half of its largest arrays at once: for
-    batches of 128 rows of 128 tokens at h=64, whose FFN activations and
-    attention probabilities are 32 MiB each, the traced numpy peak is about
-    80 MiB (tests/test_evaluation.py bounds it). cli.main keeps freed
-    blocks on glibc's heap, so each batch reuses the blocks the previous one
-    freed."""
-    batch = train_mod.FEATURE_BATCH
-    labels: list[Label] = []
-    for start in range(0, len(texts), batch):
-        ids, mask = encode_corpus(texts[start : start + batch], vocab, model.config.max_len)
-        labels += head.predict(forward(model, ids, mask)[0])
-    return labels
+    """The head's argmax label of each text, applied to each batch of CLS
+    vectors that train.frozen_batches yields, so memory follows the batch."""
+    batches = train_mod.frozen_batches(model, texts, vocab)
+    return [label for cls in batches for label in head.predict(cls)]
 
 
 @dataclass
@@ -257,10 +244,10 @@ def ablation_english(
     combined = Corpus(gold_corpus.language, list(gold_corpus.examples) + list(weak_corpus.examples))
     vocab = build_vocab(combined, encoder_config)
 
-    model_a = EncoderModel.initialize(encoder_config, vocab.size)
-    model_a = train_mod.train_single(gold_corpus, model_a, vocab, config).model
-    model_b = EncoderModel.initialize(encoder_config, vocab.size)
-    model_b = train_mod.train_single(weak_corpus, model_b, vocab, config).model
+    model = EncoderModel.initialize(encoder_config, vocab.size)
+    model_a = train_mod.train_single(gold_corpus, model, vocab, config).model
+    model_b = train_mod.train_single(weak_corpus, model, vocab, config).model
+    del model  # the frozen forwards below set the peak memory
 
     # Each encoder's frozen CLS vectors on the gold and the test texts, computed
     # once and shared by the arms; every head is seeded from config.seed alone.

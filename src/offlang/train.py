@@ -26,6 +26,7 @@ from .encoder import (
     encode_corpus,
     forward,
     load_checkpoint,
+    pad_batch,
     save_checkpoint,
     tensor_mismatch,
     _truncated_normal,
@@ -164,14 +165,22 @@ def _check_divergence(loss: float, epoch: int, batch: int) -> None:
         )
 
 
-def frozen_features(model: EncoderModel, texts: list[str], vocab: Vocabulary) -> np.ndarray:
-    """Inference-mode CLS vectors of every text, FEATURE_BATCH rows per forward,
-    so the activation cache follows the batch size, not the corpus size."""
-    batches = []
+def frozen_batches(model: EncoderModel, texts: list[str], vocab: Vocabulary):
+    """Inference-mode CLS vectors of the texts, one array per FEATURE_BATCH of
+    them: the one inference loop, read by frozen_features and predict_labels.
+    Each batch is encoded and padded to its longest row when it is reached,
+    so memory follows the batch, not the corpus: for batches of 128 rows of
+    128 tokens at h=64, whose FFN activations and attention probabilities are
+    32 MiB each, the traced numpy peak of an inference forward (which keeps no
+    cache; see forward) is about 80 MiB, as tests/test_evaluation.py bounds."""
     for start in range(0, len(texts), FEATURE_BATCH):
-        ids, mask = encode_corpus(texts[start : start + FEATURE_BATCH], vocab, model.config.max_len)
-        batches.append(forward(model, ids, mask)[0])
-    return np.concatenate(batches)
+        rows = encode_corpus(texts[start : start + FEATURE_BATCH], vocab, model.config.max_len)
+        yield forward(model, *pad_batch(rows))[0]
+
+
+def frozen_features(model: EncoderModel, texts: list[str], vocab: Vocabulary) -> np.ndarray:
+    """The (n, h) inference-mode CLS vectors of every text, from frozen_batches."""
+    return np.concatenate(list(frozen_batches(model, texts, vocab)))
 
 
 def _fit(
@@ -246,12 +255,12 @@ def train_single(
     corpus: Corpus, model: EncoderModel, vocab: Vocabulary, config: TrainConfig
 ) -> TrainResult:
     """Fine-tune encoder + head with cross-entropy over seeded-shuffled
-    mini-batches, each encoded when it is drawn and padded to its longest row.
+    mini-batches of the corpus's id rows, encoded once, padded per batch.
     The input model is not mutated: the result's model params and head are
     views of one new buffer."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
-    texts = corpus.texts()
+    rows = encode_corpus(corpus.texts(), vocab, model.config.max_len)
     y = label_ids(corpus)
     rng = np.random.default_rng(config.seed)
     init = ClassifierHead.initialize(model.config.hidden_size, config.seed)
@@ -261,7 +270,7 @@ def train_single(
     model = EncoderModel(model.config, {k: views[k] for k in model.params})
 
     def step(sel):
-        ids, mask = encode_corpus([texts[i] for i in sel], vocab, model.config.max_len)
+        ids, mask = pad_batch([rows[i] for i in sel])
         cls, cache = forward(model, ids, mask, train=True, dropout_rng=rng)
         loss, dlogits = _batch_cross_entropy(cls @ head.w + head.b, y[sel])
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import offlang
 import offlang.cli as cli_mod
 import offlang.corpus as corpus_mod
+import offlang.train as train_mod
 from helpers import tear_writes
 from offlang.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, emit_report_table, main
 from offlang.corpus import (
@@ -200,6 +201,7 @@ class TestExitCodes:
             ("seed: 4.5\n", "seed must be int, got 4.5"),
             ("train: {epochs: 0}\n", "invalid train settings: epochs must be >= 1"),
             ("encoder: {hidden_size: 63}\n", "invalid encoder settings: hidden_size 63"),
+            ("encoder: {ffn_size: -5}\n", "invalid encoder settings: ffn_size must be >= 0, got -5"),
         ],
         ids=[
             "malformed_yaml", "unknown_encoder_key", "unknown_train_key",
@@ -207,7 +209,7 @@ class TestExitCodes:
             "list_section",
             "string_for_int", "string_for_float", "bool_for_int", "null_for_int",
             "null_for_encoder_int", "bool_for_float", "float_seed", "zero_epochs",
-            "hidden_not_divisible",
+            "hidden_not_divisible", "negative_ffn_size",
         ],
     )
     def test_bad_config_is_config_error(self, workspace, capsys, text, message):
@@ -1070,6 +1072,34 @@ class TestGridsearchCommand:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: invalid grid settings: {message}\n"
         assert not (workspace / "grid" / "grid_cells.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "command, fraction, side",
+        [("gridsearch", "0.001", "validation"), ("gridsearch", "0.999", "train"),
+         ("ablate", "0.001", "validation")],
+        ids=["gridsearch_empty_validation", "gridsearch_empty_train", "ablate_empty_validation"],
+    )
+    def test_a_holdout_that_empties_a_split_fails_before_any_fit(
+        self, workspace, capsys, monkeypatch, command, fraction, side
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(train_mod, "train_single", no_fit)
+        flags = {
+            "gridsearch": ["--learning-rates", "0.008", "--batch-sizes", "8"],
+            "ablate": ["--mode", "augmentation", "--provider", "mock", "--pivots", "en,fr,de"],
+        }[command]
+        out_dir = workspace / "out"
+        code = run(
+            command, "--config", workspace / "run.yaml", "--input", workspace / "train.tsv",
+            "--holdout", fraction, *flags, "--out-dir", out_dir,
+        )
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: holdout_fraction {fraction} leaves the {side} split of a 120-row corpus empty\n"
+        )
+        assert not (out_dir / "grid_cells.tsv").exists() and not (out_dir / "table4.tsv").exists()
 
 
 class TestAblateCommand:

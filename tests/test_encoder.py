@@ -26,6 +26,7 @@ from offlang.encoder import (
     gelu,
     gelu_grad,
     load_checkpoint,
+    pad_batch,
     save_checkpoint,
     tokenize,
 )
@@ -110,7 +111,7 @@ class TestBuildVocab:
 
     def test_unknown_maps_to_unk(self):
         vocab = build_vocab(corpus_of(["a b"]), TINY)
-        ids, _ = encode_corpus(["a zebra"], vocab, max_len=8)
+        ids, _ = pad_batch(encode_corpus(["a zebra"], vocab, max_len=8))
         assert ids[0, 1:3].tolist() == [vocab.token_to_id["a"], UNK_ID]
 
     def test_empty_corpus(self):
@@ -121,7 +122,7 @@ class TestBuildVocab:
 class TestEncodeCorpus:
     def test_pads_to_longest_row(self):
         vocab = build_vocab(corpus_of(["a b c"]), TINY)
-        ids, mask = encode_corpus(["a", "a b c", ""], vocab, max_len=8)
+        ids, mask = pad_batch(encode_corpus(["a", "a b c", ""], vocab, max_len=8))
         a, b, c = (vocab.token_to_id[t] for t in "abc")
         assert ids.tolist() == [
             [CLS_ID, a, SEP_ID, PAD_ID, PAD_ID],
@@ -134,7 +135,7 @@ class TestEncodeCorpus:
     def test_long_text_capped_at_max_len_keeps_sep(self):
         vocab = build_vocab(corpus_of(["w"]), TINY)
         long_text = " ".join(f"tok{i}" for i in range(200))
-        ids, mask = encode_corpus(["w", long_text], vocab, max_len=128)
+        ids, mask = pad_batch(encode_corpus(["w", long_text], vocab, max_len=128))
         assert ids.shape == mask.shape == (2, 128)
         assert ids[1, 0] == CLS_ID and ids[1, 127] == SEP_ID
         assert mask[1].sum() == 128
@@ -163,17 +164,24 @@ def loop_encode_corpus(texts, vocab, max_len):
     texts=st.lists(
         st.lists(st.sampled_from(["a", "b", "c", "zebra", "<user>", "[SEP]", "!", "A"]), max_size=12)
         .map(" ".join),
-        max_size=6,
+        max_size=8,
     ),
     max_len=st.integers(2, 10),
+    data=st.data(),
 )
-def test_encode_corpus_equals_the_row_loop(texts, max_len):
+def test_encode_corpus_equals_the_row_loop(texts, max_len, data):
+    # A fit encodes its corpus once and pads each batch it draws (any
+    # selection of rows, repeats included); this keeps it bit for bit the
+    # fit that encoded each batch when it drew it.
     vocab = build_vocab(corpus_of(["a b c"]), TINY)
-    ids, mask = encode_corpus(texts, vocab, max_len)
-    ref_ids, ref_mask = loop_encode_corpus(texts, vocab, max_len)
-    assert ids.dtype == ref_ids.dtype and mask.dtype == ref_mask.dtype
-    assert ids.shape == ref_ids.shape and mask.shape == ref_mask.shape
-    assert ids.tobytes() == ref_ids.tobytes() and mask.tobytes() == ref_mask.tobytes()
+    rows = encode_corpus(texts, vocab, max_len)
+    drawn = data.draw(st.lists(st.integers(0, len(texts) - 1), max_size=8) if texts else st.just([]))
+    for sel in (range(len(texts)), drawn):
+        ids, mask = pad_batch([rows[i] for i in sel])
+        ref_ids, ref_mask = loop_encode_corpus([texts[i] for i in sel], vocab, max_len)
+        assert ids.dtype == ref_ids.dtype and mask.dtype == ref_mask.dtype
+        assert ids.shape == ref_ids.shape and mask.shape == ref_mask.shape
+        assert ids.tobytes() == ref_ids.tobytes() and mask.tobytes() == ref_mask.tobytes()
 
 
 def tiny_model(seed=0, vocab_size=12, num_layers=1):
@@ -188,7 +196,7 @@ AB_VOCAB = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>",
 
 
 def cls_vectors(model, texts, vocab=AB_VOCAB):
-    ids, mask = encode_corpus(texts, vocab, model.config.max_len)
+    ids, mask = pad_batch(encode_corpus(texts, vocab, model.config.max_len))
     return forward(model, ids, mask)[0]
 
 
@@ -261,7 +269,7 @@ class TestTrimmedBatch:
         vocab = Vocabulary.from_tokens(list(RESERVED_TOKENS) + words)
         rng = np.random.default_rng(0)
         texts = [" ".join(rng.choice(words, size=k)) for k in (0, 3, 9, 17, 5, 30)]
-        ids, mask = encode_corpus(texts, vocab, config.max_len)
+        ids, mask = pad_batch(encode_corpus(texts, vocab, config.max_len))
         assert ids.shape[1] == 32 < config.max_len
         padded_ids = np.full((len(texts), config.max_len), PAD_ID, dtype=np.int64)
         padded_mask = np.zeros((len(texts), config.max_len))

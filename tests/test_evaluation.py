@@ -167,8 +167,8 @@ class TestPredictLabels:
 
     def test_each_forward_gets_one_trimmed_batch(self, monkeypatch):
         texts, vocab, model, head = self.trained()
-        recorder = ForwardRecorder(evaluation_mod.forward)
-        monkeypatch.setattr(evaluation_mod, "forward", recorder)
+        recorder = ForwardRecorder(train_mod.forward)
+        monkeypatch.setattr(train_mod, "forward", recorder)
         monkeypatch.setattr(train_mod, "FEATURE_BATCH", 64)
         predict_labels(model, head, vocab, texts)
         recorder.assert_per_batch(64)
@@ -361,6 +361,20 @@ class TestAblationEnglish:
         assert [r.system for r in reports] == ["encoder-A-only", "encoder-B-only", "dual"]
         for r in reports:
             assert sum(map(sum, r.confusion.counts)) == 40
+
+    def test_both_encoders_start_from_one_initialization(self, monkeypatch):
+        initialized, starts = [], []
+        initialize, train_single_fn = EncoderModel.initialize, train_mod.train_single
+        monkeypatch.setattr(
+            EncoderModel, "initialize", lambda *args: initialized.append(args) or initialize(*args)
+        )
+        monkeypatch.setattr(
+            train_mod, "train_single", lambda *args: starts.append(args[1]) or train_single_fn(*args)
+        )
+        gold = separable_toy_corpus(20, seed=0)
+        ablation_english(gold, gold, gold, toy_train_config(epochs=1), toy_encoder_config())
+        assert len(initialized) == 1
+        assert len(starts) == 2 and starts[0] is starts[1]
 
     def test_empty_test_corpus_fails_before_training(self, monkeypatch):
         def no_training(*args, **kwargs):

@@ -18,6 +18,7 @@ from helpers import (
     random_gradcheck_model,
 )
 
+import offlang.encoder as encoder_mod
 import offlang.train as train_mod
 from offlang.corpus import Corpus, Label
 from offlang.datagen import separable_toy_corpus, toy_encoder_config, toy_train_config
@@ -395,6 +396,17 @@ class TestPerBatchEncoding:
         assert all(train for *_, train in recorder.calls)
         assert sum(rows for rows, *_ in recorder.calls) == len(corpus)
         assert len({length for _, length, _, _ in recorder.calls}) > 1
+
+    def test_fine_tuning_tokenizes_each_text_once(self, monkeypatch):
+        corpus = separable_toy_corpus(150, seed=0)
+        encoder_config = toy_encoder_config()
+        vocab = build_vocab(corpus, encoder_config)
+        model = EncoderModel.initialize(encoder_config, vocab.size)
+        tokenized, tokenize = [], encoder_mod.tokenize
+        monkeypatch.setattr(encoder_mod, "tokenize", lambda t: tokenized.append(t) or tokenize(t))
+        train_single(corpus, model, vocab, toy_train_config(epochs=3))
+        assert len(tokenized) == 150
+        assert sorted(tokenized) == sorted(corpus.texts())
 
     def test_frozen_features(self, recorder):
         corpus, vocab, model, _ = trained_toy(epochs=1)
