@@ -36,6 +36,7 @@ from .errors import (
     JournalWriteFailed,
     MalformedRow,
     ProviderUnavailable,
+    TranslationError,
     TranslationNotFound,
     UnsupportedPair,
 )
@@ -177,8 +178,26 @@ class HttpProvider:
                 continue
             if resp.status_code >= 400:
                 raise UnsupportedPair(source, target)
-            return resp.json()["translation"]
+            return self._translation(resp)
         raise ProviderUnavailable(f"provider gave up after {self.max_retries} retries: {last_error}")
+
+    def _translation(self, resp) -> str:
+        """The reply's non-empty string `translation`. Any other reply raises
+        a TranslationError naming the endpoint; it is not retried, since a
+        malformed reply is not transient."""
+        try:
+            body = resp.json()
+        except ValueError:  # requests' JSONDecodeError too
+            body = None
+        if not isinstance(body, dict):
+            raise TranslationError(f"{self.endpoint}: the reply is not a JSON object")
+        translation = body.get("translation")
+        if not isinstance(translation, str) or not translation:
+            raise TranslationError(
+                f"{self.endpoint}: the reply's translation is {translation!r}, "
+                "not a non-empty string"
+            )
+        return translation
 
     def supports(self, source: str, target: str) -> bool:
         return True

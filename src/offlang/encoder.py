@@ -14,18 +14,15 @@ port of fdlibm's s_erf.c; every result tests/test_erf.py samples is within
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write
+from .corpus import Corpus
 from .erf import erf
 from .errors import EmptyCorpus
 
@@ -474,145 +471,3 @@ def backward(model: EncoderModel, cache: dict, d_cls: np.ndarray, grads: dict | 
     np.add.at(grads["tok_emb"], ids.reshape(-1)[real], dx)
     np.add.at(grads["pos_emb"], real % ids.shape[1], dx)
     return grads
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint container, version 2: deterministic bytes (no archive
-# timestamps). The file is the magic, the header's length (u64, little
-# endian), the header's SHA-256, the header (JSON: config, vocab, meta and a
-# tensor index of name, dtype, shape and SHA-256), then the tensors' raw
-# bytes back to back in index order. Every byte is covered by a digest.
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 2
-_MAGIC = b"OFFLANG%d" % CHECKPOINT_VERSION
-_PREAMBLE = len(_MAGIC) + 8 + 32  # magic, header length, header SHA-256
-
-
-@dataclass
-class Checkpoint:
-    config: EncoderConfig
-    vocab: Vocabulary
-    tensors: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
-
-    def model(self) -> EncoderModel:
-        params = {
-            name.removeprefix("model."): tensor
-            for name, tensor in self.tensors.items()
-            if name.startswith("model.")
-        }
-        return EncoderModel(self.config, params)
-
-
-def save_checkpoint(
-    path: str | Path,
-    model: EncoderModel,
-    vocab: Vocabulary,
-    *,
-    extra_tensors: dict[str, np.ndarray] | None = None,
-    meta: dict | None = None,
-) -> None:
-    tensors = {f"model.{name}": t for name, t in model.params.items()}
-    if extra_tensors:
-        tensors.update(extra_tensors)
-    index = []
-    payload_parts = []
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
-        raw = arr.tobytes()
-        index.append(
-            {
-                "name": name,
-                "dtype": str(arr.dtype),
-                "shape": list(arr.shape),
-                "sha256": hashlib.sha256(raw).hexdigest(),
-            }
-        )
-        payload_parts.append(raw)
-    header = {
-        "config": asdict(model.config),
-        "vocab": list(vocab.id_to_token),
-        "tensors": index,
-        "meta": meta or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(hashlib.sha256(header_bytes).digest())
-        fh.write(header_bytes)
-        fh.write(b"".join(payload_parts))
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """A checkpoint file whose every byte matches its digest and whose
-    `model.` tensors are exactly the parameters its config and vocabulary
-    make (param_shapes), in float64. Anything else fails with one
-    ValueError line naming the file."""
-    data = Path(path).read_bytes()
-    if data[: len(_MAGIC)] == b"OFFLANG1":
-        raise ValueError(
-            f"{path}: bad checkpoint: version 1 is no longer read (it carries no "
-            f"SHA-256 digests); train again to write version {CHECKPOINT_VERSION}"
-        )
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    size_at = len(_MAGIC)
-    try:
-        header_end = _PREAMBLE + int.from_bytes(data[size_at : size_at + 8], "little")
-        if header_end > len(data):
-            raise ValueError(f"the header runs past the end of the {len(data)}-byte file")
-        header_bytes = data[_PREAMBLE:header_end]
-        if hashlib.sha256(header_bytes).digest() != data[size_at + 8 : _PREAMBLE]:
-            raise ValueError("the header does not match its SHA-256")
-        header = json.loads(header_bytes.decode("utf-8"))
-        if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
-            raise ValueError("the header is not a JSON object with a meta object")
-        payload = memoryview(data)[header_end:]
-        tensors, offset = {}, 0
-        for entry in header["tensors"]:
-            tensors[entry["name"]], offset = _tensor(payload, offset, entry)
-        if offset != len(payload):
-            raise ValueError(f"{len(payload) - offset} bytes follow the last tensor")
-        config = EncoderConfig(**header["config"])
-        vocab = Vocabulary.from_tokens(header["vocab"])
-        model = {name: t for name, t in tensors.items() if name.startswith("model.")}
-        expected = {f"model.{name}": s for name, s in param_shapes(config, vocab.size).items()}
-        reason = tensor_mismatch(model, expected)
-        if reason:
-            raise ValueError(f"{reason} for its config and {vocab.size}-token vocabulary")
-    except KeyError as exc:
-        raise ValueError(f"{path}: bad checkpoint: the header has no {exc} entry") from None
-    except (TypeError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
-        raise ValueError(f"{path}: bad checkpoint: {exc}") from None
-    return Checkpoint(config=config, vocab=vocab, tensors=tensors, meta=header["meta"])
-
-
-def _tensor(payload: memoryview, offset: int, entry: dict) -> tuple[np.ndarray, int]:
-    """The tensor an index entry names, starting at `offset` of the payload,
-    its bytes checked against the payload and its digest; and the offset
-    after it."""
-    name, dtype = entry["name"], np.dtype(entry["dtype"])
-    end = offset + math.prod(entry["shape"]) * dtype.itemsize
-    if end > len(payload):
-        raise ValueError(f"tensor {name} runs past the end of the {len(payload)}-byte payload")
-    raw = payload[offset:end]
-    if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
-        raise ValueError(f"tensor {name} does not match its SHA-256")
-    return np.frombuffer(raw, dtype).reshape(entry["shape"]).copy(), end
-
-
-def tensor_mismatch(tensors: dict[str, np.ndarray], expected: dict[str, tuple]) -> str | None:
-    """Why `tensors` are not exactly the `expected` names and shapes in
-    float64, or None when they are."""
-    missing, unexpected = expected.keys() - tensors.keys(), tensors.keys() - expected.keys()
-    if missing:
-        return f"missing tensors {', '.join(sorted(missing))}"
-    if unexpected:
-        return f"unexpected tensors {', '.join(sorted(unexpected))}"
-    for name, shape in expected.items():
-        if tensors[name].shape != tuple(shape) or tensors[name].dtype != np.float64:
-            got = f"{list(tensors[name].shape)} {tensors[name].dtype}"
-            return f"tensor {name} is {got}, not {list(shape)} float64"
-    return None

@@ -165,9 +165,12 @@ def grid_search(
     """Train one model per (learning_rate, batch_size) cell with the shared seed
     and select the max validation macro-F1. Ties break to the first cell in
     declared order; diverged cells are recorded and excluded from selection.
+    Every cell starts from the same vocabulary and initial encoder, built
+    once (train_single does not change its input model).
     """
     if not learning_rates or not batch_sizes:
         raise ValueError("grid must contain at least one learning rate and one batch size")
+    initial = _initial(train_corpus, encoder_config)
     cells: list[GridCell] = []
     best_cell: GridCell | None = None
     for lr in learning_rates:
@@ -175,7 +178,7 @@ def grid_search(
             config = replace(base_config, learning_rate=lr, batch_size=bs)
             system = f"lr={lr:g},batch={bs}"
             try:
-                report = _train_and_eval(train_corpus, validation, config, encoder_config, system)
+                report = _train_and_eval(train_corpus, validation, config, *initial, system)
             except DivergenceError:
                 cells.append(GridCell(lr, bs, None))
                 continue
@@ -191,15 +194,20 @@ def grid_search(
     return GridSearchResult(best=best_config, cells=cells)
 
 
+def _initial(corpus: Corpus, encoder_config: EncoderConfig) -> tuple[EncoderModel, Vocabulary]:
+    """The initial encoder, and the vocabulary, for training on the corpus."""
+    vocab = build_vocab(corpus, encoder_config)
+    return EncoderModel.initialize(encoder_config, vocab.size), vocab
+
+
 def _train_and_eval(
     train_corpus: Corpus,
     eval_corpus: Corpus,
     config: train_mod.TrainConfig,
-    encoder_config: EncoderConfig,
+    model: EncoderModel,
+    vocab: Vocabulary,
     system: str,
 ) -> EvalReport:
-    vocab = build_vocab(train_corpus, encoder_config)
-    model = EncoderModel.initialize(encoder_config, vocab.size)
     result = train_mod.train_single(train_corpus, model, vocab, config)
     preds = predict_labels(result.model, result.head, vocab, eval_corpus.texts())
     return evaluate(preds, eval_corpus.labels(), system=system, seed=config.seed)
@@ -219,11 +227,13 @@ def ablation_augmentation(
     only the training corpus of the second arm is augmented.
     """
     train_split, validation = split_holdout(corpus, holdout_fraction, config.seed)
-    without = _train_and_eval(train_split, validation, config, encoder_config, "-Augmentation")
+    initial = _initial(train_split, encoder_config)
+    without = _train_and_eval(train_split, validation, config, *initial, "-Augmentation")
     augmented = augment_mod.augment_corpus(
         train_split, pivots, provider, policy=augment_mod.Policy.FAIL_FAST
     )
-    with_aug = _train_and_eval(augmented, validation, config, encoder_config, "+Augmentation")
+    initial = _initial(augmented, encoder_config)
+    with_aug = _train_and_eval(augmented, validation, config, *initial, "+Augmentation")
     return [without, with_aug]
 
 
@@ -242,9 +252,7 @@ def ablation_english(
     if len(test) == 0:
         raise EmptyCorpus("cannot evaluate on an empty test corpus")
     combined = Corpus(gold_corpus.language, list(gold_corpus.examples) + list(weak_corpus.examples))
-    vocab = build_vocab(combined, encoder_config)
-
-    model = EncoderModel.initialize(encoder_config, vocab.size)
+    model, vocab = _initial(combined, encoder_config)
     model_a = train_mod.train_single(gold_corpus, model, vocab, config).model
     model_b = train_mod.train_single(weak_corpus, model, vocab, config).model
     del model  # the frozen forwards below set the peak memory

@@ -8,27 +8,31 @@ bitwise-identical final parameters.
 Each fit keeps its parameters in one contiguous float64 buffer (the model's
 `params` and the head are views of it) and its gradients in another, zeroed in
 place per step; Adam updates it in place one erf.BLOCK at a time.
+
+The trained classifier, encoder and head, is the one model that is saved:
+save_checkpoint writes it and load_checkpoint reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import json
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import CLASSES, Corpus, Label
+from .corpus import CLASSES, Corpus, Label, atomic_write
 from .encoder import (
-    Checkpoint,
+    EncoderConfig,
     EncoderModel,
     Vocabulary,
     backward,
     encode_corpus,
     forward,
-    load_checkpoint,
     pad_batch,
-    save_checkpoint,
-    tensor_mismatch,
+    param_shapes,
     _truncated_normal,
 )
 from .erf import BLOCK
@@ -305,34 +309,148 @@ def train_dual(
     return train_head(np.concatenate(vectors, axis=1), label_ids(head_corpus), config)
 
 
-def save_train_checkpoint(
-    path: str | Path,
-    model: EncoderModel,
-    vocab: Vocabulary,
-    head: ClassifierHead,
-    *,
-    meta: dict | None = None,
-) -> None:
-    """Encoder checkpoint container extended with the head parameters."""
-    extra = {"head.w": head.w, "head.b": head.b}
-    save_checkpoint(path, model, vocab, extra_tensors=extra, meta=meta)
+# ---------------------------------------------------------------------------
+# The checkpoint of a trained classifier, version 2: deterministic bytes (no
+# archive timestamps). The file is the magic, the header's length (u64, little
+# endian), the header's SHA-256, the header (JSON: config, vocab, meta and a
+# tensor index of name, dtype, shape and SHA-256), then the tensors' raw bytes
+# back to back in index order: the encoder's `model.*` and the head's `head.w`
+# and `head.b`. Every byte is covered by a digest.
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_VERSION = 2
+_MAGIC = b"OFFLANG%d" % CHECKPOINT_VERSION
+_PREAMBLE = len(_MAGIC) + 8 + 32  # magic, header length, header SHA-256
+
+# Each meta key that every checkpoint carries, from the run that trained it,
+# and the check of its value.
+META_KEYS = {
+    "language": ("a string", lambda v: isinstance(v, str)),
+    "seed": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "normalize": ("a bool", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass
-class TrainCheckpoint:
+class Checkpoint:
     model: EncoderModel
     vocab: Vocabulary
     head: ClassifierHead
-    meta: dict
+    meta: dict  # META_KEYS and their values
 
 
-def load_train_checkpoint(path: str | Path) -> TrainCheckpoint:
-    """A train checkpoint: load_checkpoint's checks, and besides the encoder
-    exactly a head.w of (hidden_size, 2) and a head.b of (2,)."""
-    ckpt: Checkpoint = load_checkpoint(path)
-    head_tensors = {k: v for k, v in ckpt.tensors.items() if not k.startswith("model.")}
-    reason = tensor_mismatch(head_tensors, {"head.w": (ckpt.config.hidden_size, 2), "head.b": (2,)})
-    if reason:
-        raise ValueError(f"{path}: bad checkpoint: {reason}")
-    head = ClassifierHead(w=ckpt.tensors["head.w"], b=ckpt.tensors["head.b"])
-    return TrainCheckpoint(model=ckpt.model(), vocab=ckpt.vocab, head=head, meta=ckpt.meta)
+def save_checkpoint(
+    path: str | Path, model: EncoderModel, vocab: Vocabulary, head: ClassifierHead, *, meta: dict
+) -> None:
+    """Write the classifier and the meta of its run to path, atomically."""
+    tensors = {f"model.{name}": t for name, t in model.params.items()}
+    tensors.update({"head.w": head.w, "head.b": head.b})
+    index = []
+    payload_parts = []
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name])
+        raw = arr.tobytes()
+        index.append(
+            {
+                "name": name,
+                "dtype": str(arr.dtype),
+                "shape": list(arr.shape),
+                "sha256": hashlib.sha256(raw).hexdigest(),
+            }
+        )
+        payload_parts.append(raw)
+    header = {
+        "config": asdict(model.config),
+        "vocab": list(vocab.id_to_token),
+        "tensors": index,
+        "meta": meta,
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(len(header_bytes).to_bytes(8, "little"))
+        fh.write(hashlib.sha256(header_bytes).digest())
+        fh.write(header_bytes)
+        fh.write(b"".join(payload_parts))
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """A checkpoint file whose every byte matches its digest, whose tensors
+    are exactly the encoder parameters its config and vocabulary make
+    (param_shapes) and a head.w of (hidden_size, 2) and head.b of (2,), in
+    float64, and whose meta has every META_KEYS key with a value that passes
+    its check. Anything else fails with one ValueError line naming the file."""
+    data = Path(path).read_bytes()
+    if data[: len(_MAGIC)] == b"OFFLANG1":
+        raise ValueError(
+            f"{path}: bad checkpoint: version 1 is no longer read (it carries no "
+            f"SHA-256 digests); train again to write version {CHECKPOINT_VERSION}"
+        )
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    size_at = len(_MAGIC)
+    try:
+        header_end = _PREAMBLE + int.from_bytes(data[size_at : size_at + 8], "little")
+        if header_end > len(data):
+            raise ValueError(f"the header runs past the end of the {len(data)}-byte file")
+        header_bytes = data[_PREAMBLE:header_end]
+        if hashlib.sha256(header_bytes).digest() != data[size_at + 8 : _PREAMBLE]:
+            raise ValueError("the header does not match its SHA-256")
+        header = json.loads(header_bytes.decode("utf-8"))
+        if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
+            raise ValueError("the header is not a JSON object with a meta object")
+        meta = header["meta"]
+        for key, (what, ok) in META_KEYS.items():
+            if key not in meta:
+                raise ValueError(f"the meta has no {key!r} entry")
+            if not ok(meta[key]):
+                raise ValueError(f"meta {key} must be {what}, got {meta[key]!r}")
+        payload = memoryview(data)[header_end:]
+        tensors, offset = {}, 0
+        for entry in header["tensors"]:
+            tensors[entry["name"]], offset = _tensor(payload, offset, entry)
+        if offset != len(payload):
+            raise ValueError(f"{len(payload) - offset} bytes follow the last tensor")
+        config = EncoderConfig(**header["config"])
+        vocab = Vocabulary.from_tokens(header["vocab"])
+        expected = {f"model.{name}": s for name, s in param_shapes(config, vocab.size).items()}
+        expected.update({"head.w": (config.hidden_size, 2), "head.b": (2,)})
+        reason = tensor_mismatch(tensors, expected)
+        if reason:
+            raise ValueError(f"{reason} for its config and {vocab.size}-token vocabulary")
+    except KeyError as exc:
+        raise ValueError(f"{path}: bad checkpoint: the header has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise ValueError(f"{path}: bad checkpoint: {exc}") from None
+    head = ClassifierHead(w=tensors.pop("head.w"), b=tensors.pop("head.b"))
+    params = {name.removeprefix("model."): t for name, t in tensors.items()}
+    return Checkpoint(model=EncoderModel(config, params), vocab=vocab, head=head, meta=meta)
+
+
+def _tensor(payload: memoryview, offset: int, entry: dict) -> tuple[np.ndarray, int]:
+    """The tensor an index entry names, starting at `offset` of the payload,
+    its bytes checked against the payload and its digest; and the offset
+    after it."""
+    name, dtype = entry["name"], np.dtype(entry["dtype"])
+    end = offset + math.prod(entry["shape"]) * dtype.itemsize
+    if end > len(payload):
+        raise ValueError(f"tensor {name} runs past the end of the {len(payload)}-byte payload")
+    raw = payload[offset:end]
+    if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+        raise ValueError(f"tensor {name} does not match its SHA-256")
+    return np.frombuffer(raw, dtype).reshape(entry["shape"]).copy(), end
+
+
+def tensor_mismatch(tensors: dict[str, np.ndarray], expected: dict[str, tuple]) -> str | None:
+    """Why `tensors` are not exactly the `expected` names and shapes in
+    float64, or None when they are."""
+    missing, unexpected = expected.keys() - tensors.keys(), tensors.keys() - expected.keys()
+    if missing:
+        return f"missing tensors {', '.join(sorted(missing))}"
+    if unexpected:
+        return f"unexpected tensors {', '.join(sorted(unexpected))}"
+    for name, shape in expected.items():
+        if tensors[name].shape != tuple(shape) or tensors[name].dtype != np.float64:
+            got = f"{list(tensors[name].shape)} {tensors[name].dtype}"
+            return f"tensor {name} is {got}, not {list(shape)} float64"
+    return None

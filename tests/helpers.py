@@ -1,9 +1,12 @@
 """Shared test oracles: the finite-difference gradient check, a model's
 parameter bytes, a recorder of encoder forward calls, a torn write for the
-shared file writer, and the text stages as they ran before they streamed
-their rows."""
+shared file writer, a checkpoint with its head cut out, and the text stages
+as they ran before they streamed their rows."""
 
 import contextlib
+import hashlib
+import json
+import math
 import random
 from pathlib import Path
 
@@ -173,6 +176,25 @@ def tear_writes(monkeypatch, room: int) -> None:
 # normalize, weaklabel and augment as they were before they streamed: each
 # loads its whole input, builds the whole output corpus, then saves it. The
 # streamed commands must give the same bytes, exit code and error line.
+
+
+def drop_head(path: Path) -> None:
+    """Rewrite the checkpoint at path without its head.* tensors: their
+    index entries leave the header, which gets a matching digest, and their
+    bytes leave the payload. So only the tensor set is wrong, as in a file
+    of an encoder alone."""
+    data = path.read_bytes()
+    end = 48 + int.from_bytes(data[8:16], "little")  # magic, length, digest, header
+    header, offset, kept, payload = json.loads(data[48:end]), end, [], b""
+    for entry in header["tensors"]:
+        size = math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize
+        if not entry["name"].startswith("head."):
+            kept.append(entry)
+            payload += data[offset : offset + size]
+        offset += size
+    raw = json.dumps(dict(header, tensors=kept), sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:8] + len(raw).to_bytes(8, "little") + hashlib.sha256(raw).digest()
+                     + raw + payload)
 
 
 def in_memory_weak_corpus(scored, config) -> Corpus:

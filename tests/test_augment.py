@@ -34,6 +34,7 @@ from offlang.errors import (
     InvalidPivots,
     MalformedRow,
     ProviderUnavailable,
+    TranslationError,
     TranslationNotFound,
     UnsupportedPair,
 )
@@ -390,6 +391,28 @@ class FakeResponse:
         return self._payload
 
 
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        import requests
+
+        raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+
+
+# Each malformed reply and the reason its TranslationError gives.
+MALFORMED_REPLIES = {
+    "list_translation": (FakeResponse(200, {"translation": ["a", "b"]}),
+                         "the reply's translation is ['a', 'b'], not a non-empty string"),
+    "int_translation": (FakeResponse(200, {"translation": 5}),
+                        "the reply's translation is 5, not a non-empty string"),
+    "empty_translation": (FakeResponse(200, {"translation": ""}),
+                          "the reply's translation is '', not a non-empty string"),
+    "no_translation": (FakeResponse(200, {"text": "good day"}),
+                       "the reply's translation is None, not a non-empty string"),
+    "list_body": (FakeResponse(200, ["good day"]), "the reply is not a JSON object"),
+    "not_json": (NotJsonResponse(200), "the reply is not a JSON object"),
+}
+
+
 class FakeSession:
     """Scripted requests.Session stand-in: pops one response per post()."""
 
@@ -444,6 +467,53 @@ class TestHttpProvider:
         provider, _ = self.make([FakeResponse(400)])
         with pytest.raises(UnsupportedPair):
             provider.translate("x", "tr", "zz")
+
+    @pytest.mark.parametrize("reply", list(MALFORMED_REPLIES))
+    def test_malformed_reply_is_a_translation_error_without_retry(self, reply):
+        response, reason = MALFORMED_REPLIES[reply]
+        provider, session = self.make([response, FakeResponse(200, {"translation": "ok"})])
+        with pytest.raises(TranslationError) as info:
+            provider.translate("iyi", "tr", "en")
+        assert str(info.value) == f"https://mt.example/translate: {reason}"
+        assert len(session.requests) == 1
+
+    @pytest.mark.parametrize("reply", list(MALFORMED_REPLIES))
+    def test_malformed_reply_under_each_policy(self, reply):
+        response, reason = MALFORMED_REPLIES[reply]
+        provider, _ = self.make([response] * 3)
+        skipped = augment_example(example(text="iyi"), PivotSet(), provider, "tr",
+                                  policy=Policy.SKIP_ON_ERROR)
+        assert skipped == []
+        provider, _ = self.make([response])
+        with pytest.raises(AugmentationFailed, match=re.escape(reason)):
+            augment_example(example(text="iyi"), PivotSet(), provider, "tr",
+                            policy=Policy.FAIL_FAST)
+
+    @pytest.mark.parametrize("policy", ["fail_fast", "skip_on_error"])
+    def test_malformed_reply_through_the_cli(self, tmp_path, capsys, monkeypatch, policy):
+        import requests
+
+        from offlang.cli import main
+
+        response, reason = MALFORMED_REPLIES["list_translation"]
+        session = FakeSession([response] * 6)
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        (tmp_path / "in.tsv").write_text("1\tiyi\tNOT\n2\tkötü\tOFF\n", encoding="utf-8")
+        code = main([
+            "augment", "--input", str(tmp_path / "in.tsv"), "--language", "tr",
+            "--provider", "http", "--endpoint", "https://mt.example/translate",
+            "--pivots", "en,fr,de", "--policy", policy, "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        if policy == "fail_fast":
+            assert code == 1
+            assert err.count("\n") == 1 and err.startswith("error: augmentation failed on pivot ")
+            assert reason in err
+            assert not (tmp_path / "o" / "augmented.tsv").exists()
+        else:
+            assert code == 0
+            rows = (tmp_path / "o" / "augmented.tsv").read_text(encoding="utf-8").splitlines()
+            assert [row.split("\t")[0] for row in rows] == ["1", "2"]
 
 
 def example(i=0, label=Label.OFF, text="iyi günler"):

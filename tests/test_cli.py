@@ -20,7 +20,7 @@ import offlang
 import offlang.cli as cli_mod
 import offlang.corpus as corpus_mod
 import offlang.train as train_mod
-from helpers import tear_writes
+from helpers import drop_head, tear_writes
 from offlang.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, emit_report_table, main
 from offlang.corpus import (
     Corpus,
@@ -31,11 +31,14 @@ from offlang.corpus import (
     save_labeled_tsv,
 )
 from offlang.datagen import mini_corpus
-from offlang.encoder import EncoderConfig, EncoderModel, build_vocab, save_checkpoint
+from offlang.encoder import EncoderConfig, EncoderModel, build_vocab
 from offlang.errors import ArityMismatch
 from offlang.evaluation import evaluate
 from offlang.normalize import NormalizationConfig, normalize
-from offlang.train import ClassifierHead, save_train_checkpoint
+from offlang.train import ClassifierHead, save_checkpoint
+
+# The meta a `train` run of RUN_YAML writes.
+META = {"language": "tr", "seed": 11, "normalize": False}
 
 RUN_YAML = """
 language: tr
@@ -142,7 +145,7 @@ class TestExitCodes:
         vocab = build_vocab(corpus, config)
         path = workspace / "damaged.ckpt"
         head = ClassifierHead.initialize(8, seed=0)
-        save_train_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab, head)
+        save_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab, head, meta=META)
         data = path.read_bytes()
 
         def tensors(edit):
@@ -586,7 +589,9 @@ class TestExitCodes:
         config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
         vocab = build_vocab(corpus, config)
         path = workspace / "encoder_only.ckpt"
-        save_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab)
+        head = ClassifierHead.initialize(8, seed=0)
+        save_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab, head, meta=META)
+        drop_head(path)
         code = run(
             "evaluate", "--checkpoint", path,
             "--input", workspace / "test.tsv", "--out-dir", workspace / "o",
@@ -594,6 +599,48 @@ class TestExitCodes:
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "head.w" in err and str(path) in err
+
+    @pytest.mark.parametrize(
+        "meta, reason",
+        [
+            ({**META, "normalize": "no"}, "meta normalize must be a bool, got 'no'"),
+            ({"seed": 0}, "the meta has no 'language' entry"),
+        ],
+        ids=["normalize_no", "seed_only"],
+    )
+    def test_checkpoint_with_bad_meta_is_runtime_failure(self, workspace, capsys, meta, reason):
+        corpus = load_labeled_tsv(workspace / "train.tsv", language="tr")
+        config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
+        vocab = build_vocab(corpus, config)
+        path = workspace / "bad_meta.ckpt"
+        head = ClassifierHead.initialize(8, seed=0)
+        save_checkpoint(path, EncoderModel.initialize(config, vocab.size), vocab, head, meta=meta)
+        code = run(
+            "evaluate", "--checkpoint", path,
+            "--input", workspace / "test.tsv", "--out-dir", workspace / "o",
+        )
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {path}: bad checkpoint: {reason}\n"
+        assert not (workspace / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "message",
+        ["Unable to allocate 4.66 TiB for an array with shape (10000000000, 64) and data type float64",
+         ""],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_one_line(self, workspace, capsys, monkeypatch, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_mod, "train_single", exhausted)
+        code = run(
+            "train", "--config", workspace / "run.yaml",
+            "--input", workspace / "train.tsv", "--out-dir", workspace / "o",
+        )
+        assert code == EXIT_RUNTIME
+        expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestConfigOverlay:
@@ -837,6 +884,28 @@ class TestNormalizeCommand:
 
 
 class TestTrainEvaluate:
+    def test_checkpoints_go_through_offlang_train(self, workspace, capsys, monkeypatch):
+        # perfbench/layers.py traces save_checkpoint and load_checkpoint by
+        # replacing them on offlang.train, so train and evaluate must look
+        # them up there when they run.
+        calls = []
+        for name in ("save_checkpoint", "load_checkpoint"):
+            def traced(*args, _name=name, _fn=getattr(train_mod, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(train_mod, name, traced)
+        assert run(
+            "train", "--config", workspace / "run.yaml",
+            "--input", workspace / "train.tsv", "--out-dir", workspace / "run",
+        ) == EXIT_OK
+        assert run(
+            "evaluate", "--checkpoint", workspace / "run" / "model.ckpt",
+            "--input", workspace / "test.tsv", "--out-dir", workspace / "eval",
+        ) == EXIT_OK
+        assert calls == ["save_checkpoint", "load_checkpoint"]
+        capsys.readouterr()
+
     def test_full_round_trip_with_manifest(self, workspace, capsys):
         run_dir = workspace / "run"
         code = run(
@@ -871,8 +940,8 @@ class TestTrainEvaluate:
         # A head whose bias outweighs any CLS vector predicts NOT for every row.
         head = ClassifierHead(w=np.zeros((8, 2)), b=np.array([-10.0, 10.0]))
         ckpt = workspace / "model.ckpt"
-        save_train_checkpoint(ckpt, EncoderModel.initialize(config, vocab.size), vocab, head,
-                              meta={"language": "tr", "seed": 4})
+        save_checkpoint(ckpt, EncoderModel.initialize(config, vocab.size), vocab, head,
+                        meta={"language": "tr", "seed": 4, "normalize": False})
         code = run("evaluate", "--checkpoint", ckpt, "--input", workspace / "test.tsv",
                    "--out-dir", workspace / "eval")
         assert code == EXIT_OK
@@ -926,7 +995,8 @@ def trained(tmp_path_factory):
     config = EncoderConfig(hidden_size=8, num_layers=1, num_heads=2, max_len=16, vocab_cap=50)
     vocab = build_vocab(corpus, config)
     head = ClassifierHead.initialize(8, seed=0)
-    save_train_checkpoint(d / "model.ckpt", EncoderModel.initialize(config, vocab.size), vocab, head)
+    save_checkpoint(d / "model.ckpt", EncoderModel.initialize(config, vocab.size), vocab, head,
+                    meta=META)
     return d
 
 
@@ -1139,6 +1209,29 @@ class TestAblateCommand:
         all_not = evaluate([Label.NOT] * len(test_labels), test_labels).macro_f1
         assert all(float(row[1]) > all_not + 0.05 for row in rows), table
         assert len({tuple(row[1:]) for row in rows}) > 1, table
+        capsys.readouterr()
+
+    def test_english_mode_loads_the_tables_once(self, workspace, capsys, monkeypatch):
+        loads = []
+        from_paths = NormalizationConfig.from_paths
+
+        def counted(cls, *paths):
+            loads.append(paths)
+            return from_paths(*paths)
+
+        monkeypatch.setattr(NormalizationConfig, "from_paths", classmethod(counted))
+        save_labeled_tsv(mini_corpus("en", 16, seed=7), workspace / "gold.tsv")
+        save_labeled_tsv(mini_corpus("en", 16, seed=8, split="weak"), workspace / "weak.tsv")
+        save_labeled_tsv(mini_corpus("en", 8, seed=9, split="test"), workspace / "test_en.tsv")
+        code = run(
+            "ablate", "--mode", "english", "--config", workspace / "run.yaml",
+            "--gold", workspace / "gold.tsv", "--weak", workspace / "weak.tsv",
+            "--test", workspace / "test_en.tsv", "--language", "en",
+            "--epochs", "1", "--out-dir", workspace / "ablate_en",
+        )
+        assert code == EXIT_OK
+        assert len(loads) == 1
+        assert (workspace / "ablate_en" / "table3.tsv").exists()
         capsys.readouterr()
 
     def test_english_mode_normalizes_like_train(self, workspace, capsys):

@@ -25,12 +25,13 @@ from offlang.encoder import (
     forward,
     gelu,
     gelu_grad,
-    load_checkpoint,
     pad_batch,
-    save_checkpoint,
     tokenize,
 )
 from offlang.errors import EmptyCorpus
+from offlang.train import ClassifierHead, load_checkpoint, save_checkpoint
+
+META = {"language": "tr", "seed": 0, "normalize": False}
 
 
 def corpus_of(texts):
@@ -595,45 +596,51 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
         model = tiny_model(vocab_size=vocab.size)
+        head = ClassifierHead.initialize(8, seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, vocab, meta={"language": "tr"})
+        meta = {"language": "tr", "seed": 5, "normalize": True}
+        save_checkpoint(path, model, vocab, head, meta=meta)
         ckpt = load_checkpoint(path)
-        assert ckpt.config == model.config
+        assert ckpt.model.config == model.config
         assert ckpt.vocab.token_to_id == vocab.token_to_id
-        assert ckpt.meta["language"] == "tr"
-        restored = ckpt.model()
-        assert param_bytes(restored) == param_bytes(model)
+        assert ckpt.meta == meta
+        assert param_bytes(ckpt.model) == param_bytes(model)
+        assert ckpt.head.w.tobytes() == head.w.tobytes()
+        assert ckpt.head.b.tobytes() == head.b.tobytes()
 
     def test_deterministic_bytes(self, tmp_path):
         vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
         model = tiny_model(vocab_size=vocab.size)
-        save_checkpoint(tmp_path / "a.ckpt", model, vocab)
-        save_checkpoint(tmp_path / "b.ckpt", model, vocab)
+        head = ClassifierHead.initialize(8, seed=3)
+        save_checkpoint(tmp_path / "a.ckpt", model, vocab, head, meta=META)
+        save_checkpoint(tmp_path / "b.ckpt", model, vocab, head, meta=META)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
         old, new = tiny_model(0, vocab_size=vocab.size), tiny_model(1, vocab_size=vocab.size)
+        head = ClassifierHead.initialize(8, seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, old, vocab)
+        save_checkpoint(path, old, vocab, head, meta=META)
         saved = path.read_bytes()
         tear_writes(monkeypatch, len(saved) // 2)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(path, new, vocab)
+            save_checkpoint(path, new, vocab, head, meta=META)
         monkeypatch.undo()
         assert path.read_bytes() == saved
-        assert param_bytes(load_checkpoint(path).model()) == param_bytes(old)
+        assert param_bytes(load_checkpoint(path).model) == param_bytes(old)
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_missing_or_misshapen_parameters_are_rejected(self, tmp_path):
         vocab = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "<user>", "a"])
+        head = ClassifierHead.initialize(8, seed=3)
         model = tiny_model(vocab_size=vocab.size)
         del model.params["pos_emb"]
-        save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        save_checkpoint(tmp_path / "m.ckpt", model, vocab, head, meta=META)
         with pytest.raises(ValueError, match=r"m.ckpt: bad checkpoint: missing tensors model.pos_emb"):
             load_checkpoint(tmp_path / "m.ckpt")
         model = tiny_model(vocab_size=vocab.size + 1)
-        save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        save_checkpoint(tmp_path / "m.ckpt", model, vocab, head, meta=META)
         with pytest.raises(ValueError, match=r"tensor model.tok_emb is \[7, 8\] float64, not \[6, 8\]"):
             load_checkpoint(tmp_path / "m.ckpt")
 

@@ -270,6 +270,28 @@ class TestGridSearch:
                 toy_train_config(seed=3), toy_encoder_config(seed=3),
             )
 
+    def test_builds_the_vocabulary_and_initial_encoder_once(self, monkeypatch):
+        builds, inits = [], []
+        initialize = EncoderModel.initialize
+
+        def counted_build(*args):
+            builds.append(args)
+            return build_vocab(*args)
+
+        def counted_init(cls, *args):
+            inits.append(args)
+            return initialize(*args)
+
+        monkeypatch.setattr(evaluation_mod, "build_vocab", counted_build)
+        monkeypatch.setattr(EncoderModel, "initialize", classmethod(counted_init))
+        train_corpus, validation = small_task()
+        result = grid_search(
+            [8e-3, 1e-2], [8, 16], train_corpus, validation,
+            toy_train_config(epochs=1), toy_encoder_config(),
+        )
+        assert len(result.cells) == 4
+        assert (len(builds), len(inits)) == (1, 1)
+
     def test_empty_grid(self):
         train_corpus, validation = small_task()
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     GRADCHECK_CONFIG,
     ForwardRecorder,
+    drop_head,
     gradient_check,
     param_bytes,
     random_batch,
@@ -22,7 +23,7 @@ import offlang.encoder as encoder_mod
 import offlang.train as train_mod
 from offlang.corpus import Corpus, Label
 from offlang.datagen import separable_toy_corpus, toy_encoder_config, toy_train_config
-from offlang.encoder import EncoderModel, build_vocab, save_checkpoint
+from offlang.encoder import EncoderModel, build_vocab
 from offlang.errors import DivergenceError, EmptyCorpus
 from offlang.evaluation import predict_labels
 from offlang.train import (
@@ -31,6 +32,7 @@ from offlang.train import (
     EPS,
     FEATURE_BATCH,
     AdamState,
+    ClassifierHead,
     TrainConfig,
     _batch_cross_entropy,
     _check_divergence,
@@ -38,8 +40,8 @@ from offlang.train import (
     frozen_features,
     label_ids,
     label_index,
-    load_train_checkpoint,
-    save_train_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
     train_dual,
     train_head,
     train_single,
@@ -427,22 +429,57 @@ class TestPerBatchEncoding:
         assert sum(rows for rows, *_ in recorder.calls) == 2 * len(corpus)
 
 
+MISSING = object()  # a meta key left out
+
+
 class TestTrainCheckpoint:
+    META = {"language": "en", "seed": 7, "normalize": True}
+
     def test_round_trip(self, tmp_path):
         corpus, vocab, model, config = trained_toy(seed=7, epochs=1)
         result = train_single(corpus, model, vocab, config)
         path = tmp_path / "t.ckpt"
-        save_train_checkpoint(path, result.model, vocab, result.head, meta={"language": "en"})
-        loaded = load_train_checkpoint(path)
+        save_checkpoint(path, result.model, vocab, result.head, meta=self.META)
+        loaded = load_checkpoint(path)
         assert param_bytes(loaded.model) == param_bytes(result.model)
         assert loaded.vocab.token_to_id == vocab.token_to_id
         assert np.array_equal(loaded.head.w, result.head.w)
         assert np.array_equal(loaded.head.b, result.head.b)
-        assert loaded.meta == {"language": "en"}
+        assert loaded.meta == self.META
 
     def test_missing_head_rejected(self, tmp_path):
-        corpus, vocab, model, _ = trained_toy(seed=7, epochs=1)
+        corpus, vocab, model, config = trained_toy(seed=7, epochs=1)
         path = tmp_path / "encoder_only.ckpt"
-        save_checkpoint(path, model, vocab)
-        with pytest.raises(ValueError, match="head.w"):
-            load_train_checkpoint(path)
+        head = ClassifierHead.initialize(model.config.hidden_size, 0)
+        save_checkpoint(path, model, vocab, head, meta=self.META)
+        drop_head(path)
+        reason = "encoder_only.ckpt: bad checkpoint: missing tensors head.b, head.w for its config"
+        with pytest.raises(ValueError, match=reason):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("language", MISSING, "the meta has no 'language' entry"),
+            ("seed", MISSING, "the meta has no 'seed' entry"),
+            ("normalize", MISSING, "the meta has no 'normalize' entry"),
+            ("language", 5, "meta language must be a string, got 5"),
+            ("language", None, "meta language must be a string, got None"),
+            ("seed", -1, "meta seed must be an int >= 0, got -1"),
+            ("seed", True, "meta seed must be an int >= 0, got True"),
+            ("seed", 1.0, "meta seed must be an int >= 0, got 1.0"),
+            ("seed", "0", "meta seed must be an int >= 0, got '0'"),
+            ("normalize", "no", "meta normalize must be a bool, got 'no'"),
+            ("normalize", 1, "meta normalize must be a bool, got 1"),
+            ("normalize", None, "meta normalize must be a bool, got None"),
+        ],
+    )
+    def test_bad_meta_rejected(self, tmp_path, key, value, reason):
+        _, vocab, model, _ = trained_toy(seed=7, epochs=1)
+        meta = {k: v for k, v in {**self.META, key: value}.items() if v is not MISSING}
+        path = tmp_path / "m.ckpt"
+        head = ClassifierHead.initialize(model.config.hidden_size, 0)
+        save_checkpoint(path, model, vocab, head, meta=meta)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: bad checkpoint: {reason}"
